@@ -15,12 +15,20 @@ Subcommands:
 ``ffax --schema FORMAT`` prints any document format's schema. Exit codes:
 0 success, 2 input error, 3 capability, 4 empty attribution, 5 data mismatch,
 6 capacity.
+
+Flag values are converted while the arguments are parsed, and the commands
+read them straight off the ``argparse.Namespace``. Each command reads and
+parses its input files once; the per-row functions get the parsed model and
+instance, and ``--workers N`` hands each worker process the parsed model with
+one contiguous chunk of rows.
 """
 
 import argparse
+import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from functools import partial
 
 from . import attribution as attr
 from . import formats, metrics
@@ -38,9 +46,8 @@ from .errors import (
     FfaxError,
     ParseError,
     UndefinedAttributionError,
-    ValidationError,
 )
-from .model import BOOLEAN, Instance, LinearModel, TreeEnsemble, evaluate
+from .model import Instance, TreeEnsemble, evaluate
 from .oracle import PartialAssignment, score_bounds
 
 EXIT_OK = 0
@@ -50,45 +57,27 @@ EXIT_EMPTY_ATTRIBUTION = 4
 EXIT_DATA_MISMATCH = 5
 EXIT_CAPACITY = 6
 
+# Most specific type first; the first match decides the exit code.
+_EXIT_CODES = (
+    (CapabilityError, EXIT_CAPABILITY),
+    (UndefinedAttributionError, EXIT_EMPTY_ATTRIBUTION),
+    (DataMismatchError, EXIT_DATA_MISMATCH),
+    (CapacityError, EXIT_CAPACITY),
+    (FfaxError, EXIT_INPUT),
+    (OSError, EXIT_INPUT),
+)
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation, flag for flag."""
 
-    command: str
-    model_path: str | None = None
-    space_path: str | None = None
-    instances_path: str | None = None
-    rows: tuple[int, ...] | None = None  # None = every row
-    mode: str = "cxp-first"
-    seconds: float | None = None
-    max_axps: int | None = None
-    max_cxps: int | None = None
-    max_oracle_calls: int | None = None
-    kind: str = "ffa"
-    checkpoints: tuple[float, ...] = ()
-    output: str | None = None
-    rbo_p: float = 0.9
-    order: tuple[int, ...] | None = None
-    grid: tuple[int, int] | None = None
-    matrix_out: str | None = None
-    workers: int = 1
-    classes: tuple[str, ...] = ("0", "1")
-    base_score: float | None = None
-    reference: str | None = None
-    candidates: tuple[tuple[str, str], ...] = ()
-    report: str | None = None
-
-    def budget(self) -> Budget:
-        limits = (self.seconds, self.max_axps, self.max_cxps, self.max_oracle_calls)
-        if all(l is None for l in limits):
-            return Budget.unlimited()
-        return Budget(
-            seconds=self.seconds,
-            max_axps=self.max_axps,
-            max_cxps=self.max_cxps,
-            max_oracle_calls=self.max_oracle_calls,
-        )
+def _budget(args: argparse.Namespace) -> Budget:
+    limits = (args.seconds, args.max_axps, args.max_cxps, args.max_calls)
+    if all(l is None for l in limits):
+        return Budget.unlimited()
+    return Budget(
+        seconds=args.seconds,
+        max_axps=args.max_axps,
+        max_cxps=args.max_cxps,
+        max_oracle_calls=args.max_calls,
+    )
 
 
 def _read(path: str) -> str:
@@ -104,30 +93,13 @@ def _emit(text: str, output: str | None) -> None:
             handle.write(text)
 
 
-def _parse_rows(selector: str | None) -> tuple[int, ...] | None:
-    if selector is None:
-        return None
-    rows: list[int] = []
-    for part in selector.split(","):
-        part = part.strip()
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            rows.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            rows.append(int(part))
-    return tuple(rows)
-
-
-def _load_inputs(config: RunConfig):
-    space = formats.parse_feature_space(_read(config.space_path))
+def _load_inputs(args: argparse.Namespace):
+    space = formats.parse_feature_space(_read(args.space))
     model = formats.parse_ensemble_dump(
-        _read(config.model_path),
-        space,
-        class_names=config.classes,
-        base_score=config.base_score,
+        _read(args.model), space, class_names=args.classes, base_score=args.base_score
     )
-    instances = formats.parse_instances(_read(config.instances_path), space)
-    rows = config.rows if config.rows is not None else tuple(range(len(instances)))
+    instances = formats.parse_instances(_read(args.instances), space)
+    rows = args.rows if args.rows is not None else tuple(range(len(instances)))
     for row in rows:
         if not 0 <= row < len(instances):
             raise ParseError(f"row {row} out of range (file has {len(instances)} instances)")
@@ -171,115 +143,115 @@ def _certified_bound(model, v: Instance, c: int, subset: frozenset[int]) -> str:
 # --- per-row work (top-level functions so worker processes can pickle them) ----
 
 
-def _explain_row(config: RunConfig, row: int) -> str:
-    space, model, instances, _ = _load_inputs(config)
-    v = instances[row]
+def _explain_row(args: argparse.Namespace, model, row: int, v: Instance) -> str:
     pred = evaluate(model, v)
     c = pred.class_id
-    axp = extract_axp(model, v, c, seed=range(space.m), order=config.order)
+    axp = extract_axp(model, v, c, seed=range(model.space.m), order=args.order)
     lines = [f"row {row}: class {model.class_names[c]!r}"]
     if len(pred.scores) == 2:
         lines[0] += f" (score {pred.scores[1]:.6g})"
     if not axp:
         lines.append("  AXp: (empty set) -- prediction is domain-constant")
     else:
-        lines.append(f"  AXp: {_format_assignment(space, v, axp)}")
+        lines.append(f"  AXp: {_format_assignment(model.space, v, axp)}")
     lines.append(f"  certified: {_certified_bound(model, v, c, axp)}")
     return "\n".join(lines)
 
 
-def _enumerate_row(config: RunConfig, row: int) -> str:
-    space, model, instances, _ = _load_inputs(config)
-    v = instances[row]
+def _enumerate_row(args: argparse.Namespace, model, row: int, v: Instance) -> str:
     report = enumerate_explanations(
-        model, v, budget=config.budget(), mode=config.mode, order=config.order
+        model, v, budget=_budget(args), mode=args.mode, order=args.order
     )
     return formats.write_enumeration_report(
         report, class_name=model.class_names[report.class_id]
     )
 
 
-def _attribute_row(config: RunConfig, row: int) -> list[dict]:
-    space, model, instances, _ = _load_inputs(config)
-    v = instances[row]
+def _attribute_row(args: argparse.Namespace, model, row: int, v: Instance) -> list[dict]:
     report = enumerate_explanations(
-        model, v, budget=config.budget(), mode=config.mode, order=config.order
+        model, v, budget=_budget(args), mode=args.mode, order=args.order
     )
     axps = report.axp_sets()
     if not axps:
         raise UndefinedAttributionError(
             f"row {row}: no explanations within budget"
         )
+    m = model.space.m
     entries = []
-    kinds = ("ffa", "wffa") if config.kind == "both" else (config.kind,)
+    kinds = ("ffa", "wffa") if args.kind == "both" else (args.kind,)
     for kind in kinds:
         maker = attr.ffa if kind == "ffa" else attr.wffa
-        vec = maker(axps, space.m, complete=report.complete)
+        vec = maker(axps, m, complete=report.complete)
         entry = {"row": row, "class_id": report.class_id, "vector": vec}
-        if kind == "ffa" and config.checkpoints:
-            exact = attr.ffa(axps, space.m, complete=report.complete)
+        if kind == "ffa" and args.checkpoints:
+            exact = attr.ffa(axps, m, complete=report.complete)
             entry["convergence"] = attr.convergence_series(
-                report, exact, config.checkpoints
+                report, exact, args.checkpoints
             )
         entries.append(entry)
     return entries
 
 
-def _run_rows(config: RunConfig, rows, worker):
-    if config.workers > 1 and len(rows) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            return list(pool.map(worker, [config] * len(rows), rows))
-    return [worker(config, row) for row in rows]
+def _run_rows(args: argparse.Namespace, worker):
+    """Parse the inputs once, then run ``worker`` on every selected row.
+
+    With ``--workers N`` each process receives the parsed model with its one
+    contiguous chunk of rows; no worker reads the input files.
+    """
+    space, model, instances, rows = _load_inputs(args)
+    work = partial(worker, args, model)
+    points = [instances[row] for row in rows]
+    workers = min(args.workers, len(rows))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = math.ceil(len(rows) / workers)
+            return space, list(pool.map(work, rows, points, chunksize=chunk))
+    return space, list(map(work, rows, points))
 
 
 # --- commands -------------------------------------------------------------------
 
 
-def cmd_explain(config: RunConfig) -> int:
-    _, _, _, rows = _load_inputs(config)
-    blocks = _run_rows(config, rows, _explain_row)
-    _emit("\n".join(blocks), config.output)
+def cmd_explain(args: argparse.Namespace) -> int:
+    _, blocks = _run_rows(args, _explain_row)
+    _emit("\n".join(blocks), args.output)
     return EXIT_OK
 
 
-def cmd_enumerate(config: RunConfig) -> int:
-    _, _, _, rows = _load_inputs(config)
-    docs = _run_rows(config, rows, _enumerate_row)
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    _, docs = _run_rows(args, _enumerate_row)
     if len(docs) == 1:
-        _emit(docs[0], config.output)
+        _emit(docs[0], args.output)
     else:
-        import json
-
         wrapped = {
             "format": "enumeration-reports/1",
             "reports": [json.loads(d) for d in docs],
         }
-        _emit(json.dumps(wrapped, indent=2), config.output)
+        _emit(json.dumps(wrapped, indent=2), args.output)
     return EXIT_OK
 
 
-def cmd_attribute(config: RunConfig) -> int:
-    space, _, _, rows = _load_inputs(config)
-    per_row = _run_rows(config, rows, _attribute_row)
+def cmd_attribute(args: argparse.Namespace) -> int:
+    space, per_row = _run_rows(args, _attribute_row)
     entries = [entry for row_entries in per_row for entry in row_entries]
-    _emit(formats.write_attribution_doc(space, entries), config.output)
-    if config.grid is not None:
-        if config.matrix_out is None:
+    _emit(formats.write_attribution_doc(space, entries), args.output)
+    if args.grid is not None:
+        if args.matrix_out is None:
             raise ParseError("--grid needs --matrix-out")
-        rows_n, cols_n = config.grid
+        rows_n, cols_n = args.grid
         first = entries[0]["vector"]
-        with open(config.matrix_out, "w", encoding="utf-8") as handle:
+        with open(args.matrix_out, "w", encoding="utf-8") as handle:
             handle.write(formats.write_attribution_matrix(first, rows_n, cols_n))
     return EXIT_OK
 
 
-def cmd_compare(config: RunConfig) -> int:
-    space = formats.parse_feature_space(_read(config.space_path))
-    reference_entries = formats.read_attribution_doc(_read(config.reference))
+def cmd_compare(args: argparse.Namespace) -> int:
+    space = formats.parse_feature_space(_read(args.space))
+    reference_entries = formats.read_attribution_doc(_read(args.reference))
     if not reference_entries:
         raise DataMismatchError("reference document has no entries")
     candidate_lists: list[tuple[str, list[attr.AttributionVector]]] = []
-    for name, path in config.candidates:
+    for name, path in args.candidate:
         if path.endswith(".json"):
             entries = formats.read_attribution_doc(_read(path))
             if len(entries) != len(reference_entries):
@@ -300,27 +272,35 @@ def cmd_compare(config: RunConfig) -> int:
     for i, ref_entry in enumerate(reference_entries):
         ref_vec = ref_entry["vector"]
         cands = [(name, vecs[i]) for name, vecs in candidate_lists]
-        per_instance.append(metrics.compare_vectors(ref_vec, cands, rbo_p=config.rbo_p))
+        per_instance.append(metrics.compare_vectors(ref_vec, cands, rbo_p=args.rbo_p))
     averaged = metrics.average_rows(per_instance)
     _emit(
         formats.write_comparison_doc(reference_entries[0]["vector"].source, averaged),
-        config.output,
+        args.output,
     )
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
-    space, model, instances, rows = _load_inputs(config)
+def cmd_verify(args: argparse.Namespace) -> int:
+    _, model, instances, rows = _load_inputs(args)
+    loaded = None
+    if args.report is not None:
+        loaded = formats.read_enumeration_report(_read(args.report))
     failures = 0
     lines = []
     for row in rows:
         v = instances[row]
         c = evaluate(model, v).class_id
-        if config.report is not None:
-            loaded = formats.read_enumeration_report(_read(config.report))
+        if loaded is not None:
+            if loaded.instance_values != v.values:
+                raise DataMismatchError(f"row {row}: the report explains a different instance")
+            if loaded.class_id != c:
+                raise DataMismatchError(
+                    f"row {row}: the report explains class {loaded.class_id}, the row predicts {c}"
+                )
             axps, cxps = loaded.axps, loaded.cxps
         else:
-            report = enumerate_explanations(model, v, mode=config.mode, order=config.order)
+            report = enumerate_explanations(model, v, mode=args.mode, order=args.order)
             axps, cxps = report.axp_sets(), report.cxp_sets()
         ref_axps, ref_cxps = brute_force_all_xps(model, v, c)
 
@@ -355,21 +335,78 @@ def cmd_verify(config: RunConfig) -> int:
                 )
             ),
         )
-    _emit("\n".join(lines), config.output)
+    _emit("\n".join(lines), args.output)
     return EXIT_OK if failures == 0 else 1
 
 
 # --- argument parsing --------------------------------------------------------------
+# Flag values are converted here, at parse time: a malformed value is a usage
+# error (exit 2) and the commands read typed values straight off the namespace.
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _rows(text: str) -> tuple[int, ...]:
+    rows: list[int] = []
+    try:
+        for part in text.split(","):
+            part = part.strip()
+            if "-" in part:
+                lo, hi = part.split("-", 1)
+                rows.extend(range(int(lo), int(hi) + 1))
+            elif part:
+                rows.append(int(part))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a row selector like 0,2-4, got {text!r}") from None
+    return tuple(rows)
+
+
+def _grid(text: str) -> tuple[int, int]:
+    try:
+        rows_n, cols_n = text.lower().split("x")
+        return int(rows_n), int(cols_n)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected ROWSxCOLS, got {text!r}") from None
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(text.split(","))
+
+
+def _candidate(text: str) -> tuple[str, str]:
+    if "=" not in text:
+        raise argparse.ArgumentTypeError(f"expected NAME=PATH, got {text!r}")
+    name, path = text.split("=", 1)
+    return name, path
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line, without the usage text."""
+
+    def error(self, message: str):
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def _add_io_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, help="model document (canonical or dump)")
     p.add_argument("--space", required=True, help="feature-space document")
     p.add_argument("--instances", required=True, help="instances CSV")
-    p.add_argument("--rows", default=None, help="row selector, e.g. 0,2-4 (default: all)")
-    p.add_argument("--classes", default="0,1", help="class names for dump models")
+    p.add_argument("--rows", type=_rows, default=None, help="row selector, e.g. 0,2-4 (default: all)")
+    p.add_argument("--classes", type=_names, default="0,1", help="class names for dump models")
     p.add_argument("--base-score", type=float, default=None, help="dump score offset")
-    p.add_argument("--order", default=None, help="feature-id permutation for scan order")
+    p.add_argument("--order", type=_int_list, default=None, help="feature-id permutation for scan order")
     p.add_argument("--output", default=None, help="write the document here (default: stdout)")
     p.add_argument("--workers", type=int, default=1, help="shard instances across processes")
 
@@ -386,7 +423,7 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ffax",
         description="Exact explanation enumeration and formal feature attribution",
     )
@@ -409,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     _add_budget_flags(p)
     p.add_argument("--kind", choices=("ffa", "wffa", "both"), default="ffa")
-    p.add_argument("--checkpoints", default=None, help="budget marks, e.g. 1,2,5")
-    p.add_argument("--grid", default=None, help="ROWSxCOLS layout for the matrix export")
+    p.add_argument("--checkpoints", type=_float_list, default=None, help="budget marks, e.g. 1,2,5")
+    p.add_argument("--grid", type=_grid, default=None, help="ROWSxCOLS layout for the matrix export")
     p.add_argument("--matrix-out", default=None, help="matrix document path")
 
     p = sub.add_parser("compare", help="score attribution vectors against a reference")
@@ -418,6 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", required=True, help="attribution document")
     p.add_argument(
         "--candidate",
+        type=_candidate,
         action="append",
         default=[],
         metavar="NAME=PATH",
@@ -432,50 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, help="check this report document instead")
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    order = None
-    if getattr(args, "order", None):
-        order = tuple(int(x) for x in args.order.split(","))
-    checkpoints: tuple[float, ...] = ()
-    if getattr(args, "checkpoints", None):
-        checkpoints = tuple(float(x) for x in args.checkpoints.split(","))
-    grid = None
-    if getattr(args, "grid", None):
-        rows_n, cols_n = args.grid.lower().split("x")
-        grid = (int(rows_n), int(cols_n))
-    candidates = []
-    for item in getattr(args, "candidate", []):
-        if "=" not in item:
-            raise ParseError(f"--candidate wants NAME=PATH, got {item!r}")
-        name, path = item.split("=", 1)
-        candidates.append((name, path))
-    return RunConfig(
-        command=args.command,
-        model_path=getattr(args, "model", None),
-        space_path=getattr(args, "space", None),
-        instances_path=getattr(args, "instances", None),
-        rows=_parse_rows(getattr(args, "rows", None)),
-        mode=getattr(args, "mode", "cxp-first"),
-        seconds=getattr(args, "seconds", None),
-        max_axps=getattr(args, "max_axps", None),
-        max_cxps=getattr(args, "max_cxps", None),
-        max_oracle_calls=getattr(args, "max_calls", None),
-        kind=getattr(args, "kind", "ffa"),
-        checkpoints=checkpoints,
-        output=getattr(args, "output", None),
-        rbo_p=getattr(args, "rbo_p", 0.9),
-        order=order,
-        grid=grid,
-        matrix_out=getattr(args, "matrix_out", None),
-        workers=getattr(args, "workers", 1),
-        classes=tuple(getattr(args, "classes", "0,1").split(",")),
-        base_score=getattr(args, "base_score", None),
-        reference=getattr(args, "reference", None),
-        candidates=tuple(candidates),
-        report=getattr(args, "report", None),
-    )
 
 
 _COMMANDS = {
@@ -504,29 +498,10 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_INPUT
     try:
-        config = _config_from_args(args)
-        return _COMMANDS[args.command](config)
-    except (ParseError, ValidationError) as exc:
+        return _COMMANDS[args.command](args)
+    except (FfaxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CapabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPABILITY
-    except UndefinedAttributionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_ATTRIBUTION
-    except DataMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA_MISMATCH
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except FfaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

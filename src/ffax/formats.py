@@ -107,19 +107,6 @@ def parse_feature_space(text: str) -> FeatureSpace:
     return FeatureSpace(features=tuple(specs))
 
 
-def write_feature_space(space: FeatureSpace) -> str:
-    features = []
-    for spec in space.features:
-        item: dict = {"name": spec.name, "kind": spec.kind}
-        if spec.kind == CATEGORICAL:
-            item["values"] = list(spec.values)
-        elif spec.kind == ORDINAL:
-            item["lo"] = spec.lo
-            item["hi"] = spec.hi
-        features.append(item)
-    return json.dumps({"format": "feature-space/1", "features": features}, indent=2)
-
-
 # --- models ---------------------------------------------------------------------
 
 
@@ -146,12 +133,11 @@ def parse_ensemble_dump(
     space: FeatureSpace,
     class_names: Sequence[str] = ("0", "1"),
     base_score: float | Sequence[float] | None = None,
-    tree_classes: Sequence[int] | None = None,
 ) -> TreeEnsemble:
     """Parse either a toolkit tree-dump array or a canonical model object.
 
-    ``tree_classes`` overrides the round-robin tree-to-class convention of
-    dump arrays; canonical documents carry explicit class tags instead.
+    Dump arrays assign trees to classes round-robin; canonical documents
+    carry explicit class tags instead.
     """
     try:
         doc = json.loads(text)
@@ -174,10 +160,7 @@ def parse_ensemble_dump(
         base = tuple(float(b) for b in base_score)
     trees = []
     for t, node in enumerate(doc):
-        if tree_classes is not None:
-            class_id = tree_classes[t]
-        else:
-            class_id = 1 if k == 2 else t % k
+        class_id = 1 if k == 2 else t % k
         root = _parse_dump_node(node, space, where=f"tree {t}")
         trees.append(Tree(class_id=class_id, root=root))
     return TreeEnsemble(

@@ -19,9 +19,10 @@ Scores accumulate per class in tree-index order; that order is part of the
 model's semantics (the reasoning code reproduces it bit for bit).
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import ValidationError
 
@@ -184,10 +185,21 @@ class TreeEnsemble:
         object.__setattr__(self, "base_score", tuple(float(b) for b in base))
         if len(self.base_score) != k:
             raise ValidationError(f"base_score must have {k} entries")
+        # Per-class sums of base score and extreme leaves, in tree order: every
+        # score and every bound the oracle accumulates lies between them, so if
+        # they are finite no sum can overflow (and no inf + -inf can be NaN).
+        lows, highs = list(self.base_score), list(self.base_score)
         for t, tree in enumerate(self.trees):
             if not 0 <= tree.class_id < k:
                 raise ValidationError(f"tree {t}: class id {tree.class_id} out of range")
-            _check_nodes(self.space, tree.root, where=f"tree {t}")
+            lo, hi = _check_nodes(self.space, tree.root, where=f"tree {t}")
+            lows[tree.class_id] += lo
+            highs[tree.class_id] += hi
+        for c in range(k):
+            if not (math.isfinite(lows[c]) and math.isfinite(highs[c])):
+                raise ValidationError(
+                    f"class {c}: extreme scores ({lows[c]}, {highs[c]}) are not finite"
+                )
 
     @property
     def k(self) -> int:
@@ -199,21 +211,33 @@ class TreeEnsemble:
         return self.k == 2 and all(t.class_id == 1 for t in self.trees)
 
 
-def _check_nodes(space: FeatureSpace, root: Node, where: str) -> None:
+def _check_nodes(space: FeatureSpace, root: Node, where: str) -> tuple[float, float]:
+    """Validate one tree; return its smallest and largest leaf weight."""
     seen: set[int] = set()
     stack = [root]
+    lo, hi = math.inf, -math.inf
     while stack:
         node = stack.pop()
         if id(node) in seen:
             raise ValidationError(f"{where}: node graph is not a tree")
         seen.add(id(node))
         if isinstance(node, Leaf):
+            w = node.weight
+            if not math.isfinite(w):
+                raise ValidationError(f"{where}: leaf weight {w} is not finite")
+            if w < lo:
+                lo = w
+            if w > hi:
+                hi = w
             continue
         if not 0 <= node.fid < space.m:
             raise ValidationError(f"{where}: split on unknown feature id {node.fid}")
         spec = space[node.fid]
-        if isinstance(node, ThresholdSplit) and spec.kind != ORDINAL:
-            raise ValidationError(f"{where}: threshold split on non-ordinal {spec.name!r}")
+        if isinstance(node, ThresholdSplit):
+            if spec.kind != ORDINAL:
+                raise ValidationError(f"{where}: threshold split on non-ordinal {spec.name!r}")
+            if not math.isfinite(node.threshold):
+                raise ValidationError(f"{where}: threshold {node.threshold} is not finite")
         if isinstance(node, MembershipSplit):
             if spec.kind != CATEGORICAL:
                 raise ValidationError(f"{where}: membership split on non-categorical {spec.name!r}")
@@ -223,6 +247,7 @@ def _check_nodes(space: FeatureSpace, root: Node, where: str) -> None:
             raise ValidationError(f"{where}: boolean split on non-boolean {spec.name!r}")
         stack.append(node.yes)
         stack.append(node.no)
+    return lo, hi
 
 
 def _as_bool(value) -> bool:
@@ -267,12 +292,20 @@ class LinearModel:
             )
         if self.link not in ("identity", "logistic"):
             raise ValidationError(f"unknown link {self.link!r}")
-        for spec in self.space.features:
+        lo_sum = hi_sum = self.bias
+        for spec, w in zip(self.space.features, self.weights):
             if spec.kind == CATEGORICAL:
                 raise ValidationError(
                     f"feature {spec.name!r}: categorical features must be pre-encoded"
                     " as booleans for linear models"
                 )
+            lo, hi = (0.0, 1.0) if spec.kind == BOOLEAN else (spec.lo, spec.hi)
+            lo_sum += min(w * lo, w * hi)
+            hi_sum += max(w * lo, w * hi)
+        # Every score lies between these extremes (ascending-id accumulation);
+        # a non-finite weight or bias makes them non-finite too.
+        if not (math.isfinite(lo_sum) and math.isfinite(hi_sum)):
+            raise ValidationError(f"extreme scores ({lo_sum}, {hi_sum}) are not finite")
 
     @property
     def k(self) -> int:
@@ -332,33 +365,3 @@ def evaluate(model: Model, point: Instance) -> Prediction:
     if model.single_score:
         return Prediction(class_id=int(scores[1] >= 0.0), scores=scores)
     return Prediction(class_id=argmax_class(scores), scores=scores)
-
-
-def class_name(model: Model, class_id: int) -> str:
-    return model.class_names[class_id]
-
-
-def split_features(model: TreeEnsemble) -> frozenset[int]:
-    """Ids of features actually tested by some split."""
-    out: set[int] = set()
-    stack: list[Node] = [t.root for t in model.trees]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            continue
-        out.add(node.fid)
-        stack.extend((node.yes, node.no))
-    return frozenset(out)
-
-
-def iter_thresholds(model: TreeEnsemble) -> Iterable[tuple[int, float]]:
-    """Yield (feature id, threshold) for every ordinal split in tree order."""
-    for tree in model.trees:
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Leaf):
-                continue
-            if isinstance(node, ThresholdSplit):
-                yield node.fid, node.threshold
-            stack.extend((node.no, node.yes))

@@ -228,13 +228,6 @@ def _full_box(cells: CellSystem, fixed_cells: dict[int, int]):
     return tuple(box)
 
 
-def _witness_from_box(cells: CellSystem, box, v: Instance, fixed) -> Instance:
-    indices = []
-    for fid, dom in enumerate(box):
-        indices.append(dom[0] if isinstance(dom, tuple) else min(dom))
-    return cells.materialize(indices, v, fixed)
-
-
 class _TreeOracle:
     """Per-model reusable state: cell system plus compiled objectives."""
 

@@ -6,7 +6,6 @@ weights are rounded to a few decimals: scores stay legible and knife-edge
 float ties stay possible but rare.
 """
 
-import dataclasses
 import random
 from typing import Sequence
 
@@ -24,7 +23,6 @@ from .model import (
     ThresholdSplit,
     Tree,
     TreeEnsemble,
-    evaluate,
 )
 
 _CAT_VALUES = ("red", "green", "blue", "amber")
@@ -101,19 +99,6 @@ def random_instance(rng: random.Random, space: FeatureSpace) -> Instance:
         else:
             values.append(round(rng.uniform(spec.lo, spec.hi), 3))
     return Instance(values=tuple(values))
-
-
-def shift_margin(model: TreeEnsemble, v: Instance, delta: float) -> TreeEnsemble:
-    """Rebase a single-score model so the score at ``v`` is exactly ``delta``.
-
-    With delta > 0 the prediction is class 1 by a controlled margin; larger
-    margins leave more subsets sufficient, which inflates the explanation
-    count, so this is the sizing knob for enumeration-hardness experiments.
-    """
-    if not model.single_score:
-        raise ValueError("margin shifting is defined for single-score models")
-    raw = evaluate(model, v).scores[1] - model.base_score[1]
-    return dataclasses.replace(model, base_score=(0.0, delta - raw))
 
 
 def random_linear(rng: random.Random, m: int) -> tuple[LinearModel, FeatureSpace]:

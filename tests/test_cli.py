@@ -3,9 +3,11 @@ import json
 import pytest
 
 from conftest import FIXTURES
+from ffax import formats
 from ffax.cli import main
 
 ADULT = FIXTURES / "adult"
+INTEROP = FIXTURES / "interop"
 
 
 def adult_args(command, *extra):
@@ -14,6 +16,17 @@ def adult_args(command, *extra):
         "--model", str(ADULT / "model.json"),
         "--space", str(ADULT / "feature_space.json"),
         "--instances", str(ADULT / "instances.csv"),
+        *extra,
+    ]
+
+
+def interop_args(command, *extra):
+    return [
+        command,
+        "--model", str(INTEROP / "model_dump.json"),
+        "--space", str(INTEROP / "feature_space.json"),
+        "--instances", str(INTEROP / "points.csv"),
+        "--classes", "malignant,benign",
         *extra,
     ]
 
@@ -253,3 +266,77 @@ def test_workers_shard_rows(tmp_path):
     assert doc["format"] == "enumeration-reports/1"
     assert len(doc["reports"]) == 2
     assert all(r["complete"] for r in doc["reports"])
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("explain", "--rows", "x"),
+    ("explain", "--rows", "0-"),
+    ("explain", "--order", "a,b"),
+    ("attribute", "--checkpoints", "x"),
+    ("attribute", "--grid", "3"),
+])
+def test_malformed_flag_value_exits_2(command, flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(adult_args(command, flag, value))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"ffax {command}: error: argument {flag}: ")
+
+
+def test_verify_report_for_another_row_exits_5(tmp_path, capsys):
+    instances = tmp_path / "two.csv"
+    instances.write_text(
+        "Education,Status,Occupation,Relationship,Sex,Hours/w\n"
+        "Bachelors,Separated,Sales,Not-in-family,Male,40\n"
+        "Doctorate,Married,Sales,Own-child,Male,50\n"
+    )
+    io_flags = [
+        "--model", str(ADULT / "model.json"),
+        "--space", str(ADULT / "feature_space.json"),
+        "--instances", str(instances),
+    ]
+    report = tmp_path / "row0.json"
+    assert main(["enumerate", *io_flags, "--rows", "0", "--output", str(report)]) == 0
+    assert main(["verify", *io_flags, "--rows", "1", "--report", str(report)]) == 5
+    assert "row 1: the report explains a different instance" in capsys.readouterr().err
+    doc = json.loads(report.read_text())
+    doc["class_id"] = 1 - doc["class_id"]
+    report.write_text(json.dumps(doc))
+    assert main(["verify", *io_flags, "--rows", "0", "--report", str(report)]) == 5
+    assert "row 0: the report explains class" in capsys.readouterr().err
+
+
+def test_non_finite_leaf_exits_2(constant_inputs, capsys):
+    model = {"classes": ["f", "t"], "trees": [{"class": 1, "root": {"leaf": float("nan")}}]}
+    (constant_inputs / "model.json").write_text(json.dumps(model))
+    code = main([
+        "explain",
+        "--model", str(constant_inputs / "model.json"),
+        "--space", str(constant_inputs / "space.json"),
+        "--instances", str(constant_inputs / "rows.csv"),
+    ])
+    assert code == 2
+    assert "not finite" in capsys.readouterr().err
+
+
+def test_explain_parses_each_input_once(monkeypatch, capsys):
+    calls = {}
+    for name in ("parse_feature_space", "parse_ensemble_dump", "parse_instances"):
+        def counted(*args, _name=name, _parse=getattr(formats, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _parse(*args, **kwargs)
+
+        monkeypatch.setattr(formats, name, counted)
+    assert main(interop_args("explain", "--rows", "0-9")) == 0
+    assert capsys.readouterr().out.count("  AXp: ") == 10
+    assert calls == {"parse_feature_space": 1, "parse_ensemble_dump": 1, "parse_instances": 1}
+
+
+def test_workers_output_matches_one_worker(capsys):
+    outputs = []
+    for workers in ("1", "2"):
+        assert main(interop_args("explain", "--rows", "0-5", "--workers", workers)) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("  AXp: ") == 6

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -143,3 +145,43 @@ def test_argmax_class_is_an_argmax(scores):
     winner = argmax_class(tuple(scores))
     assert scores[winner] == max(scores)
     assert all(scores[c] < scores[winner] for c in range(winner))
+
+
+def _one_split_ensemble(threshold=0.5, leaf=1.0, base=0.0, trees=1):
+    space = FeatureSpace((FeatureSpec(0, "x", "ordinal", lo=0.0, hi=1.0),))
+    root = ThresholdSplit(0, threshold, yes=Leaf(leaf), no=Leaf(-1.0))
+    return TreeEnsemble(
+        space=space,
+        class_names=("n", "y"),
+        trees=tuple(Tree(class_id=1, root=root) for _ in range(trees)),
+        base_score=(0.0, base),
+    )
+
+
+def _linear(weight=1.0, bias=0.0, hi=1.0):
+    space = FeatureSpace((FeatureSpec(0, "x", "ordinal", lo=0.0, hi=hi),))
+    return LinearModel(space=space, weights=(weight,), bias=bias)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _one_split_ensemble(leaf=math.nan),
+    lambda: _one_split_ensemble(leaf=math.inf),
+    lambda: _one_split_ensemble(leaf=-math.inf),
+    lambda: _one_split_ensemble(threshold=math.nan),
+    lambda: _one_split_ensemble(threshold=-math.inf),
+    lambda: _one_split_ensemble(base=math.nan),
+    lambda: _one_split_ensemble(base=math.inf),
+    lambda: _one_split_ensemble(leaf=1e308, trees=2),  # 1e308 + 1e308 overflows
+    lambda: _linear(weight=math.nan),
+    lambda: _linear(weight=-math.inf),
+    lambda: _linear(bias=math.inf),
+    lambda: _linear(bias=math.nan),
+    lambda: _linear(weight=1e308, hi=10.0),  # 1e309 at the top of the domain
+], ids=[
+    "nan-leaf", "inf-leaf", "-inf-leaf", "nan-threshold", "-inf-threshold",
+    "nan-base", "inf-base", "ensemble-overflow", "nan-weight", "-inf-weight",
+    "inf-bias", "nan-bias", "linear-overflow",
+])
+def test_non_finite_model_values_rejected(build):
+    with pytest.raises(ValidationError):
+        build()
