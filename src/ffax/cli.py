@@ -48,7 +48,7 @@ from .errors import (
     UndefinedAttributionError,
 )
 from .model import Instance, TreeEnsemble, evaluate
-from .oracle import PartialAssignment, score_bounds
+from .oracle import PartialAssignment, decide_sufficiency, score_bounds
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -131,12 +131,9 @@ def _certified_bound(model, v: Instance, c: int, subset: frozenset[int]) -> str:
         )
         return f"max rival margin {worst:.6g} cannot overtake class {c}"
     # linear: the adversarial completion's score proves the claim
-    from .oracle import _linear_extreme
-
+    worst = decide_sufficiency(model, v, c, subset).bound
     if c == 1:
-        worst, _ = _linear_extreme(model, v, subset, want_max=False)
         return f"min attainable score {worst:.6g} >= 0"
-    worst, _ = _linear_extreme(model, v, subset, want_max=True)
     return f"max attainable score {worst:.6g} < 0"
 
 

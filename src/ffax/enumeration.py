@@ -120,41 +120,6 @@ class EnumerationReport:
 # --- minimal hitting sets -----------------------------------------------------
 
 
-def _hits_all(candidate: set[int], sets: Sequence[frozenset[int]]) -> bool:
-    return all(candidate & s for s in sets)
-
-
-class _BlockTracker:
-    """Incremental 'would adding this feature swallow a blocked set' queries.
-
-    remaining[b] counts the elements of blocked[b] not yet chosen; a candidate
-    is dead exactly when some remaining count reaches zero, and an addition is
-    forbidden when it would drop a count from one to zero.
-    """
-
-    def __init__(self, blocked: Sequence[frozenset[int]]):
-        self.remaining = [len(b) for b in blocked]
-        self.containing: dict[int, list[int]] = {}
-        for idx, b in enumerate(blocked):
-            for fid in b:
-                self.containing.setdefault(fid, []).append(idx)
-
-    def forbidden(self, fid: int) -> bool:
-        remaining = self.remaining
-        for idx in self.containing.get(fid, ()):
-            if remaining[idx] == 1:
-                return True
-        return False
-
-    def add(self, fid: int) -> None:
-        for idx in self.containing.get(fid, ()):
-            self.remaining[idx] -= 1
-
-    def remove(self, fid: int) -> None:
-        for idx in self.containing.get(fid, ()):
-            self.remaining[idx] += 1
-
-
 def minimal_hs(
     to_hit: Sequence[frozenset[int]],
     blocked: Sequence[frozenset[int]],
@@ -162,82 +127,117 @@ def minimal_hs(
 ) -> frozenset[int] | None:
     """A subset-minimal hitting set of ``to_hit`` that contains no blocked set.
 
-    Greedy growth (most new sets hit, ties to the lowest feature id, additions
-    that would swallow a blocked set skipped) with an exact branching fallback
-    when the greedy paints itself into a corner, then ascending-id shrinking.
-    Shrinking cannot re-introduce a blocked set: subsets of non-supersets are
-    non-supersets. Returns None iff no hitting set avoids the blocked sets.
+    Sets are ``int`` bitmasks inside. An id is forbidden when adding it would
+    complete a blocked set. Greedy growth takes the id that hits the most
+    un-hit sets, ties to the lowest id, forbidden ids skipped. When it gets
+    stuck, an exact depth-first search takes over: it branches in ascending id
+    order on the un-hit set with the fewest non-forbidden options (then the
+    fewest elements, then the lexicographically smallest option list). The
+    result is shrunk by dropping ids in ascending order while it still hits
+    everything; subsets of non-supersets are non-supersets, so shrinking cannot
+    re-introduce a blocked set. Returns None iff no hitting set avoids the
+    blocked sets.
+
+    The search is complete: a node fails exactly when no valid hitting set
+    contains its chosen ids. Two prunes use that and cut only empty subtrees.
+    After an id's branch fails, no solution below its later siblings contains
+    it, so it is excluded there; and a node fails at once when some un-hit set
+    has no option outside the forbidden and excluded ids. The branching set is
+    still chosen from the forbidden ids alone, so the nodes visited are those
+    of the unpruned search minus empty subtrees, and the first solution found
+    is the same.
     """
+    universe = frozenset(range(m))
     for s in to_hit:
-        if not s <= frozenset(range(m)):
+        if not s <= universe:
             raise ContractError(f"set {sorted(s)} outside feature universe 0..{m - 1}")
-    if any(len(b) == 0 for b in blocked):
-        return None  # everything is a superset of the empty set
-    if any(len(s) == 0 for s in to_hit):
-        return None  # the empty set cannot be hit
-    candidate = _greedy_hs(to_hit, blocked)
+    rows = [_mask(s) for s in to_hit]
+    blocks, blocks_with = [], [[] for _ in range(m)]
+    for b in blocked:
+        if b <= universe:  # a blocked set reaching outside can never be completed
+            blocks.append(_mask(b))
+            for fid in b:
+                blocks_with[fid].append(blocks[-1])
+    if 0 in blocks or 0 in rows:
+        return None  # everything contains the empty set, which nothing hits
+    forbidden = _forbid(0, 0, blocks)
+    candidate = _greedy_hs(to_hit, forbidden, blocks_with, m)
     if candidate is None:
-        candidate = _exact_hs(to_hit, blocked)
+        candidate = _exact_hs(rows, forbidden, blocks_with)
         if candidate is None:
             return None
-    for fid in sorted(candidate):
-        trial = candidate - {fid}
-        if _hits_all(trial, to_hit):
+    for fid in _ids(candidate):
+        trial = candidate & ~(1 << fid)
+        if all(s & trial for s in rows):
             candidate = trial
-    return frozenset(candidate)
+    return frozenset(_ids(candidate))
 
 
-def _greedy_hs(to_hit, blocked) -> set[int] | None:
-    tracker = _BlockTracker(blocked)
-    chosen: set[int] = set()
-    unhit = list(to_hit)
+def _mask(s: Iterable[int]) -> int:
+    return sum(map((1).__lshift__, s))
+
+
+def _ids(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending."""
+    return [fid for fid in range(mask.bit_length()) if mask >> fid & 1]
+
+
+def _forbid(forbidden: int, chosen: int, blocks: Iterable[int]) -> int:
+    """``forbidden`` plus each id that is the one unchosen element of a block."""
+    for b in blocks:
+        rest = b & ~chosen
+        if not rest & (rest - 1):
+            forbidden |= rest
+    return forbidden
+
+
+def _greedy_hs(to_hit, forbidden: int, blocks_with: list[list[int]], m: int) -> int | None:
+    # cols[fid] has bit i set when to_hit[i] holds fid; unhit is a mask over to_hit
+    cols = [0] * m
+    for i, s in enumerate(to_hit):
+        for fid in s:
+            cols[fid] |= 1 << i
+    chosen, unhit = 0, (1 << len(to_hit)) - 1
     while unhit:
-        counts: dict[int, int] = {}
-        for s in unhit:
-            for fid in s:
-                counts[fid] = counts.get(fid, 0) + 1
         best, best_fid = 0, None
-        for fid in sorted(counts):
-            if counts[fid] > best and not tracker.forbidden(fid):
-                best, best_fid = counts[fid], fid
+        for fid in range(m):
+            count = (cols[fid] & unhit).bit_count()
+            if count > best and not forbidden >> fid & 1:
+                best, best_fid = count, fid
         if best_fid is None:
             return None
-        chosen.add(best_fid)
-        tracker.add(best_fid)
-        unhit = [s for s in unhit if best_fid not in s]
+        chosen |= 1 << best_fid
+        forbidden = _forbid(forbidden, chosen, blocks_with[best_fid])
+        unhit &= ~cols[best_fid]
     return chosen
 
 
-def _exact_hs(to_hit, blocked) -> set[int] | None:
+def _exact_hs(rows: list[int], forbidden: int, blocks_with: list[list[int]]) -> int | None:
     """Complete search: branch on the currently most constrained un-hit set."""
-    tracker = _BlockTracker(blocked)
-    chosen: set[int] = set()
 
-    def dfs(unhit: list[frozenset[int]]) -> set[int] | None:
+    def dfs(chosen: int, forbidden: int, excluded: int, unhit: list[int]) -> int | None:
         if not unhit:
-            return set(chosen)
-        # fewest usable features first: fails fast and keeps branching narrow
-        target_options: list[int] | None = None
-        target_key = None
+            return chosen
+        allowed, usable = ~forbidden, ~(forbidden | excluded)
+        target = key = None
         for s in unhit:
-            options = sorted(fid for fid in s if not tracker.forbidden(fid))
-            key = (len(options), len(s), tuple(options))
-            if target_key is None or key < target_key:
-                target_key = key
-                target_options = options
-                if not options:
-                    return None
-        for fid in target_options:
-            chosen.add(fid)
-            tracker.add(fid)
-            found = dfs([s for s in unhit if fid not in s])
+            options = s & allowed
+            if not options & usable:
+                return None  # every way to hit s is forbidden or excluded
+            k = (options.bit_count(), s.bit_count())
+            # of two equal-size option lists, the one holding the lowest differing id is smaller
+            if key is None or k < key or (k == key and options & (d := options ^ target) & -d):
+                target, key = options, k
+        for fid in _ids(target & ~excluded):
+            bit = 1 << fid
+            found = dfs(chosen | bit, _forbid(forbidden, chosen | bit, blocks_with[fid]),
+                        excluded, [s for s in unhit if not s & bit])
             if found is not None:
                 return found
-            tracker.remove(fid)
-            chosen.discard(fid)
+            excluded |= bit  # no solution below a later sibling contains fid
         return None
 
-    return dfs(list(to_hit))
+    return dfs(0, forbidden, 0, rows)
 
 
 # --- single-explanation extraction ---------------------------------------------

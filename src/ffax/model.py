@@ -54,6 +54,10 @@ class FeatureSpec:
         elif self.kind == ORDINAL:
             if self.lo is None or self.hi is None:
                 raise ValidationError(f"feature {self.name!r}: ordinal interval missing")
+            if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+                raise ValidationError(
+                    f"feature {self.name!r}: interval [{self.lo}, {self.hi}] is not finite"
+                )
             if not (self.lo <= self.hi):
                 raise ValidationError(
                     f"feature {self.name!r}: bad interval [{self.lo}, {self.hi}]"

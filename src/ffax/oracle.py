@@ -70,6 +70,7 @@ class ScoreBounds:
 class SufficiencyResult:
     sufficient: bool
     witness: Instance | None = None
+    bound: float | None = None  # linear models: the adversarial completion's score
 
 
 class _Objective:
@@ -336,15 +337,10 @@ def decide_sufficiency_linear(
         raise CapabilityError("decide_sufficiency_linear needs a LinearModel")
     fixed = frozenset(subset)
     _check_predicted(model, v, c)
-    if c == 1:
-        worst, point = _linear_extreme(model, v, fixed, want_max=False)
-        if worst >= 0.0:
-            return SufficiencyResult(sufficient=True)
-    else:
-        worst, point = _linear_extreme(model, v, fixed, want_max=True)
-        if worst < 0.0:
-            return SufficiencyResult(sufficient=True)
-    return SufficiencyResult(sufficient=False, witness=Instance(values=tuple(point)))
+    worst, point = _linear_extreme(model, v, fixed, want_max=c != 1)
+    sufficient = worst >= 0.0 if c == 1 else worst < 0.0
+    witness = None if sufficient else Instance(values=tuple(point))
+    return SufficiencyResult(sufficient=sufficient, witness=witness, bound=worst)
 
 
 # --- public operations ---------------------------------------------------------
@@ -382,6 +378,8 @@ def decide_sufficiency(
     model: Model, v: Instance, c: int, subset: Iterable[int]
 ) -> SufficiencyResult:
     """Does fixing ``subset`` to v's values force class c over the whole space?"""
+    if isinstance(model, LinearModel):
+        return decide_sufficiency_linear(model, v, c, subset)
     _check_predicted(model, v, c)
     free = model.space.all_features() - frozenset(subset)
     witness = _find_counterexample_unchecked(model, v, c, free)

@@ -186,26 +186,26 @@ def test_criterion_4_attribution_identities():
 # times after each pin are its scan and final re-run. When a pin leaves the
 # window, re-run the script and paste its output here; do not widen the window.
 CONVERGENCE_MODELS: tuple[tuple[int, int, int], ...] = (  # (seed, features, trees)
-    (7, 24, 16),  # 20.8 s, 28.4 s
-    (15, 24, 16),  # 18.8 s, 22.0 s
-    (18, 24, 16),  # 20.0 s, 24.3 s
-    (60, 24, 16),  # 20.4 s, 24.8 s
-    (123, 24, 16),  # 19.5 s, 24.6 s
-    (157, 24, 16),  # 30.9 s, 31.0 s
-    (236, 24, 16),  # 26.4 s, 23.5 s
-    (249, 24, 16),  # 23.2 s, 19.7 s
-    (263, 24, 16),  # 20.0 s, 18.6 s
-    (270, 24, 16),  # 26.9 s, 21.8 s
-    (274, 24, 16),  # 25.5 s, 23.1 s
-    (403, 24, 16),  # 18.2 s, 20.2 s
-    (408, 24, 16),  # 30.4 s, 34.8 s
-    (460, 24, 16),  # 30.6 s, 33.3 s
-    (525, 24, 16),  # 22.9 s, 24.9 s
-    (570, 24, 16),  # 30.4 s, 32.9 s
-    (587, 24, 16),  # 26.6 s, 30.0 s
-    (629, 24, 16),  # 32.6 s, 33.1 s
-    (657, 24, 16),  # 22.7 s, 21.9 s
-    (717, 24, 16),  # 34.5 s, 28.1 s
+    (32, 24, 16),  # 26.0 s, 21.6 s
+    (43, 24, 16),  # 19.1 s, 27.0 s
+    (73, 24, 16),  # 34.1 s, 24.7 s
+    (115, 24, 16),  # 26.9 s, 18.6 s
+    (136, 24, 16),  # 17.6 s, 20.9 s
+    (212, 24, 16),  # 22.8 s, 28.1 s
+    (220, 24, 16),  # 23.2 s, 26.8 s
+    (254, 24, 16),  # 20.4 s, 21.9 s
+    (331, 24, 16),  # 21.9 s, 25.4 s
+    (378, 24, 16),  # 27.8 s, 26.4 s
+    (386, 24, 16),  # 18.4 s, 18.4 s
+    (410, 24, 16),  # 25.5 s, 23.6 s
+    (417, 24, 16),  # 17.3 s, 17.3 s
+    (422, 24, 16),  # 17.6 s, 17.1 s
+    (479, 24, 16),  # 30.3 s, 27.1 s
+    (505, 24, 16),  # 20.2 s, 18.0 s
+    (580, 24, 16),  # 29.4 s, 23.7 s
+    (593, 24, 16),  # 27.4 s, 22.8 s
+    (604, 24, 16),  # 23.0 s, 21.3 s
+    (615, 24, 16),  # 32.7 s, 26.7 s
 )
 CONVERGENCE_MARKS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 

@@ -1,10 +1,13 @@
 import json
+import math
 
 import pytest
 
 from conftest import FIXTURES
 from ffax import formats
-from ffax.cli import main
+from ffax.cli import _certified_bound, main
+from ffax.model import FeatureSpace, FeatureSpec, Instance, LinearModel
+from ffax.oracle import decide_sufficiency
 
 ADULT = FIXTURES / "adult"
 INTEROP = FIXTURES / "interop"
@@ -318,6 +321,34 @@ def test_non_finite_leaf_exits_2(constant_inputs, capsys):
     ])
     assert code == 2
     assert "not finite" in capsys.readouterr().err
+
+
+def test_non_finite_ordinal_bound_exits_2(constant_inputs, capsys):
+    space = {"features": [
+        {"name": "a", "kind": "ordinal", "lo": -math.inf, "hi": math.inf},
+        {"name": "b", "kind": "boolean"},
+    ]}
+    (constant_inputs / "space.json").write_text(json.dumps(space))  # JSON -Infinity/Infinity
+    code = main([
+        "explain",
+        "--model", str(constant_inputs / "model.json"),
+        "--space", str(constant_inputs / "space.json"),
+        "--instances", str(constant_inputs / "rows.csv"),
+    ])
+    assert code == 2
+    assert "not finite" in capsys.readouterr().err
+
+
+def test_certified_bound_for_linear_model():
+    space = FeatureSpace(tuple(FeatureSpec(fid, name, "ordinal", lo=0.0, hi=1.0)
+                               for fid, name in enumerate("ab")))
+    model = LinearModel(space=space, weights=(2.0, -1.0), bias=0.5)
+    # class 1 with a fixed: the worst completion sets b=1, 2 - 1 + 0.5
+    v = Instance((1.0, 0.0))
+    assert decide_sufficiency(model, v, 1, {0}).bound == 1.5
+    assert _certified_bound(model, v, 1, frozenset({0})) == "min attainable score 1.5 >= 0"
+    v = Instance((0.0, 1.0))
+    assert _certified_bound(model, v, 0, frozenset({0, 1})) == "max attainable score -0.5 < 0"
 
 
 def test_explain_parses_each_input_once(monkeypatch, capsys):

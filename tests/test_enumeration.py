@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ffax.enumeration import (
     Budget,
@@ -140,6 +140,105 @@ def test_minimal_hs_needs_exact_fallback():
     assert minimal_hs(to_hit, blocked, 3) == frozenset({1, 2})
 
 
+# --- the replaced engine, frozen as the reference for minimal_hs ----------------
+#
+# A copy of the frozenset engine that minimal_hs replaced: greedy
+# growth, a from-scratch exact fallback and an ascending-id shrink. The bitmask
+# engine must return the same candidate on every call, not just a valid one,
+# so that discovery order and oracle-call counts do not move.
+
+
+class _ReferenceBlockTracker:
+    """Incremental 'would adding this feature swallow a blocked set' queries."""
+
+    def __init__(self, blocked):
+        self.remaining = [len(b) for b in blocked]
+        self.containing = {}
+        for idx, b in enumerate(blocked):
+            for fid in b:
+                self.containing.setdefault(fid, []).append(idx)
+
+    def forbidden(self, fid):
+        return any(self.remaining[idx] == 1 for idx in self.containing.get(fid, ()))
+
+    def add(self, fid):
+        for idx in self.containing.get(fid, ()):
+            self.remaining[idx] -= 1
+
+    def remove(self, fid):
+        for idx in self.containing.get(fid, ()):
+            self.remaining[idx] += 1
+
+
+def _reference_minimal_hs(to_hit, blocked, m):
+    for s in to_hit:
+        if not s <= frozenset(range(m)):
+            raise ContractError(f"set {sorted(s)} outside feature universe 0..{m - 1}")
+    if any(len(b) == 0 for b in blocked):
+        return None
+    if any(len(s) == 0 for s in to_hit):
+        return None
+    candidate = _reference_greedy_hs(to_hit, blocked)
+    if candidate is None:
+        candidate = _reference_exact_hs(to_hit, blocked)
+        if candidate is None:
+            return None
+    for fid in sorted(candidate):
+        trial = candidate - {fid}
+        if all(trial & s for s in to_hit):
+            candidate = trial
+    return frozenset(candidate)
+
+
+def _reference_greedy_hs(to_hit, blocked):
+    tracker = _ReferenceBlockTracker(blocked)
+    chosen = set()
+    unhit = list(to_hit)
+    while unhit:
+        counts = {}
+        for s in unhit:
+            for fid in s:
+                counts[fid] = counts.get(fid, 0) + 1
+        best, best_fid = 0, None
+        for fid in sorted(counts):
+            if counts[fid] > best and not tracker.forbidden(fid):
+                best, best_fid = counts[fid], fid
+        if best_fid is None:
+            return None
+        chosen.add(best_fid)
+        tracker.add(best_fid)
+        unhit = [s for s in unhit if best_fid not in s]
+    return chosen
+
+
+def _reference_exact_hs(to_hit, blocked):
+    tracker = _ReferenceBlockTracker(blocked)
+    chosen = set()
+
+    def dfs(unhit):
+        if not unhit:
+            return set(chosen)
+        target_options, target_key = None, None
+        for s in unhit:
+            options = sorted(fid for fid in s if not tracker.forbidden(fid))
+            key = (len(options), len(s), tuple(options))
+            if target_key is None or key < target_key:
+                target_key, target_options = key, options
+                if not options:
+                    return None
+        for fid in target_options:
+            chosen.add(fid)
+            tracker.add(fid)
+            found = dfs([s for s in unhit if fid not in s])
+            if found is not None:
+                return found
+            tracker.remove(fid)
+            chosen.discard(fid)
+        return None
+
+    return dfs(list(to_hit))
+
+
 @st.composite
 def hitting_problems(draw):
     m = draw(st.integers(2, 5))
@@ -174,6 +273,64 @@ def test_minimal_hs_contract_vs_subset_scan(problem):
         for fid in answer:  # subset-minimal w.r.t. hitting
             shrunk = answer - {fid}
             assert any(not (shrunk & s) for s in to_hit)
+
+
+@st.composite
+def larger_hitting_problems(draw):
+    # many short sets, so that greedy often fails and the exact search meets ties
+    m = draw(st.integers(1, 12))
+    width = draw(st.integers(1, m))
+    sets = st.frozensets(st.integers(0, m - 1), min_size=min(2, width), max_size=width)
+
+    def family():
+        return [draw(sets) for _ in range(draw(st.integers(0, 25)))]
+
+    return m, family(), family()
+
+
+@settings(max_examples=300)
+@given(larger_hitting_problems())
+def test_minimal_hs_matches_reference_engine(problem):
+    m, to_hit, blocked = problem
+    assert minimal_hs(to_hit, blocked, m) == _reference_minimal_hs(to_hit, blocked, m)
+
+
+def test_minimal_hs_exclusion_prune_keeps_the_answer():
+    # Greedy takes 0 (it hits two sets), which forbids 3, 4 and 5, so {3,4,5}
+    # cannot be hit. The exact search branches on {0,1,2}: branch 0 fails the
+    # same way, so 0 is excluded from its siblings. Under branch 1, ids 6 and 7
+    # are forbidden and {0,6,7} can only be hit by the excluded 0, so that node
+    # is cut at once. Under branch 2 the search skips the excluded 0 in
+    # {0,6,7} and takes 6, then 3.
+    to_hit = [frozenset({0, 1, 2}), frozenset({3, 4, 5}), frozenset({0, 6, 7})]
+    blocked = [frozenset(b) for b in ({0, 3}, {0, 4}, {0, 5}, {1, 6}, {1, 7})]
+    assert _reference_greedy_hs(to_hit, blocked) is None
+    assert minimal_hs(to_hit, blocked, 8) == frozenset({2, 3, 6})
+    assert _reference_minimal_hs(to_hit, blocked, 8) == frozenset({2, 3, 6})
+
+
+@pytest.mark.parametrize("to_hit, blocked, m, expected", [
+    # After 5 and 4, {1,2} and {0,1} tie on option count and size; the branching
+    # set is {0,1}, the one holding the lowest differing id (0), not the first.
+    ([{1, 2}, {0, 1}, {5}, {3, 4}], [{3, 5}, {0, 1}], 6, {0, 2, 4, 5}),
+    # Under 3 and 1, {4,5} and {0,2,4} both have two options (0 is forbidden);
+    # {4,5} wins on size although {2,4} is the smaller option list.
+    ([{4, 5}, {0, 2, 4}, {0, 3}, {1, 2}], [{0, 5}, {0, 4}, {0, 3}], 6, {1, 3, 4}),
+], ids=["lowest-option-breaks-ties", "size-breaks-ties"])
+def test_minimal_hs_branching_set_tie_breaks(to_hit, blocked, m, expected):
+    to_hit, blocked = [frozenset(s) for s in to_hit], [frozenset(b) for b in blocked]
+    assert _reference_greedy_hs(to_hit, blocked) is None
+    assert minimal_hs(to_hit, blocked, m) == frozenset(expected)
+    assert _reference_minimal_hs(to_hit, blocked, m) == frozenset(expected)
+
+
+def test_minimal_hs_universe_check():
+    with pytest.raises(ContractError, match="outside feature universe"):
+        minimal_hs([frozenset({0, 3})], [], 3)
+    with pytest.raises(ContractError, match="outside feature universe"):
+        minimal_hs([frozenset({-1})], [], 3)
+    # a blocked set reaching outside the universe can never be completed
+    assert minimal_hs([frozenset({0})], [frozenset({0, 5}), frozenset({-1})], 2) == frozenset({0})
 
 
 # --- enumerate -------------------------------------------------------------------

@@ -185,3 +185,12 @@ def _linear(weight=1.0, bias=0.0, hi=1.0):
 def test_non_finite_model_values_rejected(build):
     with pytest.raises(ValidationError):
         build()
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (-math.inf, math.inf), (-math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0),
+])
+def test_non_finite_ordinal_bounds_rejected(lo, hi):
+    # an unbounded ordinal would put oracle representatives at (lo + hi) / 2 = nan
+    with pytest.raises(ValidationError, match="not finite"):
+        FeatureSpec(0, "a", "ordinal", lo=lo, hi=hi)
