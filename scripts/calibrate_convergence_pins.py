@@ -20,10 +20,12 @@ literal to paste over ``CONVERGENCE_MODELS``; the per-candidate log and a
 summary go to stderr.
 
 Re-run it when a change to the engine moves a pin out of the test's window,
-and record the result in CHANGES.md. A full scan takes about 40 minutes on two
-cores (616 seeds scanned, three re-run passes). Example:
+and record the result in CHANGES.md. In-band seeds are rare (about one in 60),
+and runs near a band edge drop out of re-run passes, so give it a wide seed
+range: seeds 0-1999 took about 80 minutes on two cores (seven re-run passes)
+and still ended with 18 of 20 pins. Example:
 
-    python scripts/calibrate_convergence_pins.py --seeds 0:1000 --features 24 --trees 16
+    python scripts/calibrate_convergence_pins.py --seeds 0:3000 --features 24 --trees 16
 """
 
 import argparse

@@ -13,6 +13,17 @@ Branching picks the free feature with the largest total bound gap (sum of
 hi-lo over trees whose path is ambiguous because of it) and splits its current
 sub-domain at the first ambiguous test on that feature, in tree order.
 
+The search is incremental: each heap entry carries its box's per-tree
+``(lo, hi, ambiguous features)`` ranges, and a child box re-walks only the
+trees whose parent range lists the split feature as ambiguous; every other
+tree keeps its parent's range object. The reuse is exact. If no reachable test
+of a tree on ``fid`` is ambiguous, each of them sends the whole of ``fid``'s
+sub-domain one way, and so does any narrowing of it; the tree's reachable
+leaves, hence its range and ambiguous set, are those of the parent. For the
+same reason only those trees can hold the first ambiguous test on ``fid``.
+Bounds and gaps are still summed over all trees in tree-index order, so they
+are bit-identical to a full re-walk, and so are the pops and the result.
+
 Class change is decided per the model's tie rule: for a single-score binary
 model with prediction 1 the query is min score < 0, with prediction 0 it is
 max score >= 0; for multiclass it is a disjunction over rival classes c' of
@@ -76,13 +87,14 @@ class SufficiencyResult:
 class _Objective:
     """Maximize (base+sum of pos-class trees) - (base+sum of neg-class trees)."""
 
-    __slots__ = ("pos", "neg", "pos_trees", "neg_trees", "pos_base", "neg_base")
+    __slots__ = ("pos", "neg", "pos_trees", "neg_trees", "trees", "pos_base", "neg_base")
 
     def __init__(self, cells: CellSystem, pos: int | None, neg: int | None):
         model = cells.model
         self.pos, self.neg = pos, neg
         self.pos_trees = tuple(r for cid, r in cells.trees if cid == pos)
         self.neg_trees = tuple(r for cid, r in cells.trees if cid == neg)
+        self.trees = self.pos_trees + self.neg_trees
         self.pos_base = model.base_score[pos] if pos is not None else 0.0
         self.neg_base = model.base_score[neg] if neg is not None else 0.0
 
@@ -116,35 +128,42 @@ def _tree_range(node, box):
     return min(lo_y, lo_n), max(hi_y, hi_n), amb
 
 
-def _analyze(obj: _Objective, box):
-    """Upper bound of the objective over the box, plus branching info.
+def _bound(obj: _Objective, ranges) -> float:
+    """Upper bound of the objective from per-tree ranges in objective order.
 
     Accumulation order matters: per-class extreme sums are built in tree-index
     order, then subtracted, mirroring evaluate's exact float semantics.
     """
-    gaps: dict[int, float] = {}
+    n_pos = len(obj.pos_trees)
     pos_acc = obj.pos_base
-    for root in obj.pos_trees:
-        lo, hi, amb = _tree_range(root, box)
-        pos_acc = pos_acc + hi
-        if amb:
-            for fid in amb:
-                gaps[fid] = gaps.get(fid, 0.0) + (hi - lo)
+    for i in range(n_pos):
+        pos_acc = pos_acc + ranges[i][1]
+    if obj.neg is None:
+        return pos_acc
     neg_acc = obj.neg_base
-    for root in obj.neg_trees:
-        lo, hi, amb = _tree_range(root, box)
-        neg_acc = neg_acc + lo
+    for i in range(n_pos, len(ranges)):
+        neg_acc = neg_acc + ranges[i][0]
+    return pos_acc - neg_acc
+
+
+def _gaps(ranges) -> dict[int, float]:
+    """Per ambiguous feature, the summed hi - lo of the trees it leaves open."""
+    gaps: dict[int, float] = {}
+    for lo, hi, amb in ranges:
         if amb:
             for fid in amb:
                 gaps[fid] = gaps.get(fid, 0.0) + (hi - lo)
-    bound = pos_acc - neg_acc if obj.neg is not None else pos_acc
-    return bound, gaps
+    return gaps
 
 
-def _first_ambiguous_test(obj: _Objective, box, fid: int):
-    """First reachable ambiguous test on ``fid`` in tree order, preorder."""
-    for root in obj.pos_trees + obj.neg_trees:
-        stack = [root]
+def _first_ambiguous_test(obj: _Objective, box, fid: int, touched):
+    """First reachable ambiguous test on ``fid`` in tree order, preorder.
+
+    Only the trees ``touched`` (ascending indices into ``obj.trees``) can
+    hold one, so only they are scanned.
+    """
+    for t in touched:
+        stack = [obj.trees[t]]
         while stack:
             node = stack.pop()
             tag = node[0]
@@ -195,22 +214,28 @@ def _maximize(obj: _Objective, box, fail_below: float | None = None, strict: boo
     With ``fail_below`` set, stop early and return (None, None) as soon as the
     best remaining bound shows the target (>= fail_below, or > with strict)
     is unreachable; return the first witness box otherwise.
+
+    A heap entry carries its box's per-tree ranges; a child re-walks only the
+    trees whose parent range is ambiguous on the split feature.
     """
-    bound, gaps = _analyze(obj, box)
-    heap = [(-bound, 0, box, gaps)]
+    ranges = [_tree_range(root, box) for root in obj.trees]
+    heap = [(-_bound(obj, ranges), 0, box, ranges)]
     seq = 1
     while heap:
-        nbound, _, cur, gaps = heapq.heappop(heap)
+        nbound, _, cur, ranges = heapq.heappop(heap)
         bound = -nbound
         if fail_below is not None and (bound < fail_below or (strict and bound <= fail_below)):
             return None, None
+        gaps = _gaps(ranges)
         if not gaps:
             return bound, cur
         fid = max(gaps, key=lambda f: (gaps[f], -f))
-        children = _split_box(cur, fid, _first_ambiguous_test(obj, cur, fid))
-        for child in children:
-            cbound, cgaps = _analyze(obj, child)
-            heapq.heappush(heap, (-cbound, seq, child, cgaps))
+        touched = [t for t, r in enumerate(ranges) if r[2] and fid in r[2]]
+        for child in _split_box(cur, fid, _first_ambiguous_test(obj, cur, fid, touched)):
+            cranges = ranges.copy()
+            for t in touched:
+                cranges[t] = _tree_range(obj.trees[t], child)
+            heapq.heappush(heap, (-_bound(obj, cranges), seq, child, cranges))
             seq += 1
     raise AssertionError("search exhausted without a determined box")
 
@@ -354,12 +379,24 @@ def _check_predicted(model: Model, v: Instance, c: int) -> None:
         raise ContractError(f"instance is predicted class {actual}, not {c}")
 
 
+def _check_features(model: Model, fids: Iterable[int]) -> frozenset[int]:
+    """``fids`` as a set, after checking each is a feature id of ``model``."""
+    fids = frozenset(fids)
+    outside = fids - model.space.all_features()
+    if outside:
+        raise ContractError(
+            f"feature ids {sorted(outside, key=str)} outside feature universe "
+            f"0..{model.space.m - 1}"
+        )
+    return fids
+
+
 def find_counterexample(
     model: Model, v: Instance, c: int, free: Iterable[int]
 ) -> Instance | None:
     """Witness x agreeing with v outside ``free`` with a different class, or None."""
     _check_predicted(model, v, c)
-    return _find_counterexample_unchecked(model, v, c, frozenset(free))
+    return _find_counterexample_unchecked(model, v, c, _check_features(model, free))
 
 
 def _find_counterexample_unchecked(
@@ -379,9 +416,9 @@ def decide_sufficiency(
 ) -> SufficiencyResult:
     """Does fixing ``subset`` to v's values force class c over the whole space?"""
     if isinstance(model, LinearModel):
-        return decide_sufficiency_linear(model, v, c, subset)
+        return decide_sufficiency_linear(model, v, c, _check_features(model, subset))
     _check_predicted(model, v, c)
-    free = model.space.all_features() - frozenset(subset)
+    free = model.space.all_features() - _check_features(model, subset)
     witness = _find_counterexample_unchecked(model, v, c, free)
     if witness is None:
         return SufficiencyResult(sufficient=True)
@@ -395,7 +432,7 @@ def score_bounds(
     if not isinstance(model, TreeEnsemble):
         raise CapabilityError("score_bounds is defined for tree ensembles")
     oracle = _tree_oracle(model)
-    box = oracle.box_for(pa.instance, pa.fixed)
+    box = oracle.box_for(pa.instance, _check_features(model, pa.fixed))
     return oracle.score_bounds(box, pair)
 
 
@@ -410,9 +447,9 @@ def brute_force_decide(
     if not isinstance(model, TreeEnsemble):
         raise CapabilityError("brute_force_decide enumerates tree-ensemble cells only")
     _check_predicted(model, v, c)
+    fixed = _check_features(model, subset)
     oracle = _tree_oracle(model)
     cells = oracle.cells
-    fixed = frozenset(subset)
     free = [fid for fid in range(model.space.m) if fid not in fixed]
     size = grid_size(cells, free)
     if size > GRID_CAP:

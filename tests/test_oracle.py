@@ -1,8 +1,12 @@
+import heapq
+import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from conftest import linear_corner_flip, naive_class
+from conftest import FIXTURES, linear_corner_flip, naive_class
+from ffax import formats, oracle
 from ffax.cells import CellSystem
 from ffax.errors import CapabilityError, CapacityError, ContractError
 from ffax.model import (
@@ -299,3 +303,241 @@ def test_generic_ops_dispatch_to_linear():
 def test_unsupported_model_kind():
     with pytest.raises(CapabilityError):
         find_counterexample(object(), Instance((1,)), 0, set())
+
+
+# --- feature ids outside the model ----------------------------------------------------
+
+
+ENTRY_POINTS = {
+    "decide_sufficiency": lambda model, v, fids: decide_sufficiency(model, v, 0, fids),
+    "find_counterexample": lambda model, v, fids: find_counterexample(model, v, 0, fids),
+    "score_bounds": lambda model, v, fids: score_bounds(
+        model, PartialAssignment(v, frozenset(fids))
+    ),
+    "brute_force_decide": lambda model, v, fids: brute_force_decide(model, v, 0, fids),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("fids", [{99}, {-1}, {0, 6}])
+def test_entry_points_reject_out_of_range_feature_ids(adult_model, adult_instance, entry, fids):
+    with pytest.raises(ContractError, match="outside feature universe"):
+        ENTRY_POINTS[entry](adult_model, adult_instance, fids)
+
+
+def test_linear_entry_points_reject_out_of_range_feature_ids():
+    model = linear_unit_square()
+    v = Instance((1.0, 1.0))
+    with pytest.raises(ContractError, match="outside feature universe"):
+        decide_sufficiency(model, v, 1, {0, 2})
+    with pytest.raises(ContractError, match="outside feature universe"):
+        find_counterexample(model, v, 1, {-1})
+
+
+# --- tie boundaries of the early stop ------------------------------------------------
+
+
+def _two_booleans():
+    return FeatureSpace((FeatureSpec(0, "a", "boolean"), FeatureSpec(1, "b", "boolean")))
+
+
+def _agrees_with_brute_force(model, v, c, subset):
+    fast = decide_sufficiency(model, v, c, subset)
+    slow = brute_force_decide(model, v, c, subset)
+    assert fast.sufficient == slow.sufficient
+    if not fast.sufficient:
+        assert naive_class(model, fast.witness.values) != c
+    return fast
+
+
+def test_class_0_flips_on_a_best_completion_of_exactly_zero():
+    # best completion (a, b) = (1, 1): 0.25 + -0.25 = 0.0, which is class 1
+    space = _two_booleans()
+    model = TreeEnsemble(space, ("n", "y"), (
+        Tree(1, BooleanSplit(0, yes=Leaf(0.25), no=Leaf(-0.5))),
+        Tree(1, BooleanSplit(1, yes=Leaf(-0.25), no=Leaf(-0.75))),
+    ))
+    v = Instance((False, False))
+    assert evaluate(model, v).class_id == 0
+    result = _agrees_with_brute_force(model, v, 0, set())
+    assert not result.sufficient
+    assert evaluate(model, result.witness).scores[1] == 0.0
+
+
+def test_class_1_stays_on_a_worst_completion_of_exactly_zero():
+    # worst completion (a, b) = (0, 0): -0.25 + 0.25 = 0.0, still class 1
+    space = _two_booleans()
+    model = TreeEnsemble(space, ("n", "y"), (
+        Tree(1, BooleanSplit(0, yes=Leaf(0.5), no=Leaf(-0.25))),
+        Tree(1, BooleanSplit(1, yes=Leaf(0.75), no=Leaf(0.25))),
+    ))
+    v = Instance((True, True))
+    assert evaluate(model, v).class_id == 1
+    assert min(
+        naive_class(model, (a, b)) for a in (False, True) for b in (False, True)
+    ) == 1
+    assert _agrees_with_brute_force(model, v, 1, set()).sufficient
+
+
+@pytest.mark.parametrize("rival, flips", [(2, False), (0, True)])
+def test_multiclass_tie_goes_to_the_lower_class_id(rival, flips):
+    # Class 1 scores 1.0 throughout; the rival reaches exactly 1.0 when a holds.
+    space = _two_booleans()
+    trees = [Tree(1, BooleanSplit(1, yes=Leaf(1.0), no=Leaf(1.0)))]
+    trees.append(Tree(rival, BooleanSplit(0, yes=Leaf(1.0), no=Leaf(0.0))))
+    model = TreeEnsemble(space, ("c0", "c1", "c2"), tuple(trees))
+    v = Instance((False, True))
+    assert evaluate(model, v).class_id == 1
+    result = _agrees_with_brute_force(model, v, 1, {1})
+    assert result.sufficient == (not flips)
+    if flips:
+        assert evaluate(model, result.witness).class_id == rival
+
+
+# --- incremental branch and bound against the full-recompute search ------------------
+
+
+def _reference_analyze(obj, box):
+    gaps = {}
+    pos_acc = obj.pos_base
+    for root in obj.pos_trees:
+        lo, hi, amb = oracle._tree_range(root, box)
+        pos_acc = pos_acc + hi
+        if amb:
+            for fid in amb:
+                gaps[fid] = gaps.get(fid, 0.0) + (hi - lo)
+    neg_acc = obj.neg_base
+    for root in obj.neg_trees:
+        lo, hi, amb = oracle._tree_range(root, box)
+        neg_acc = neg_acc + lo
+        if amb:
+            for fid in amb:
+                gaps[fid] = gaps.get(fid, 0.0) + (hi - lo)
+    bound = pos_acc - neg_acc if obj.neg is not None else pos_acc
+    return bound, gaps
+
+
+def _reference_first_ambiguous_test(obj, box, fid):
+    for root in obj.pos_trees + obj.neg_trees:
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            tag = node[0]
+            if tag == "leaf":
+                continue
+            if tag == "ord":
+                _, nfid, p, yes, no = node
+                a, b = box[nfid]
+                yes_ok, no_ok = a <= p, b > p
+                if nfid == fid and yes_ok and no_ok:
+                    return ("ord", p)
+            else:
+                _, nfid, idx, yes, no = node
+                allowed = box[nfid]
+                yes_ok, no_ok = bool(allowed & idx), not allowed <= idx
+                if nfid == fid and yes_ok and no_ok:
+                    return ("set", idx)
+            if no_ok:
+                stack.append(no)
+            if yes_ok:
+                stack.append(yes)
+    raise AssertionError("no ambiguous test found for branch feature")
+
+
+def _reference_maximize(obj, box, fail_below=None, strict=False, pops=None):
+    """The search before per-tree range reuse: every node re-walks every tree."""
+    bound, gaps = _reference_analyze(obj, box)
+    heap = [(-bound, 0, box, gaps)]
+    seq = 1
+    while heap:
+        nbound, _, cur, gaps = heapq.heappop(heap)
+        if pops is not None:
+            pops.append(cur)
+        bound = -nbound
+        if fail_below is not None and (bound < fail_below or (strict and bound <= fail_below)):
+            return None, None
+        if not gaps:
+            return bound, cur
+        fid = max(gaps, key=lambda f: (gaps[f], -f))
+        children = oracle._split_box(cur, fid, _reference_first_ambiguous_test(obj, cur, fid))
+        for child in children:
+            cbound, cgaps = _reference_analyze(obj, child)
+            heapq.heappush(heap, (-cbound, seq, child, cgaps))
+            seq += 1
+    raise AssertionError("search exhausted without a determined box")
+
+
+def _recording_heapq(pops):
+    """A stand-in for the oracle's heapq that records each popped box."""
+    def heappop(heap):
+        entry = heapq.heappop(heap)
+        pops.append(entry[2])
+        return entry
+
+    return SimpleNamespace(heappush=heapq.heappush, heappop=heappop)
+
+
+def _bit_exact(result):
+    bound, box = result
+    return (None if bound is None else bound.hex(), box)
+
+
+def test_incremental_search_matches_full_recompute(rng, monkeypatch):
+    searches = branched = 0
+    for _ in range(400):
+        m = rng.randint(2, 9)
+        space = random_space(rng, m)
+        k = rng.choice((2, 2, 3))
+        model = random_ensemble(
+            rng, space, n_trees=rng.randint(1, 9), depth=rng.randint(1, 4), k=k
+        )
+        v = random_instance(rng, space)
+        compiled = oracle._tree_oracle(model)
+        if model.single_score:
+            pairs = [(1, None), (None, 1)]
+        else:
+            pairs = [(a, b) for a in range(k) for b in range(k) if a != b]
+        for pos, neg in pairs:
+            obj = compiled.objective(pos, neg)
+            fixed = {fid for fid in range(m) if rng.random() < 0.4}
+            box = compiled.box_for(v, fixed)
+            fail_below = rng.choice((None, 0.0, 0.0, round(rng.uniform(-1.5, 1.5), 2)))
+            strict = rng.random() < 0.5
+            expected_pops, pops = [], []
+            expected = _reference_maximize(obj, box, fail_below, strict, expected_pops)
+            monkeypatch.setattr(oracle, "heapq", _recording_heapq(pops))
+            got = oracle._maximize(obj, box, fail_below, strict)
+            monkeypatch.undo()
+            assert _bit_exact(got) == _bit_exact(expected)
+            assert pops == expected_pops
+            searches += 1
+            branched += len(expected_pops) > 1
+    assert searches > 1000 and branched > 500, (searches, branched)
+
+
+def test_incremental_search_walks_fewer_trees_on_interop(monkeypatch):
+    meta = json.loads((FIXTURES / "interop" / "meta.json").read_text())
+    space = formats.parse_feature_space((FIXTURES / "interop" / "feature_space.json").read_text())
+    model = formats.parse_ensemble_dump(
+        (FIXTURES / "interop" / "model_dump.json").read_text(),
+        space,
+        class_names=tuple(meta["classes"]),
+    )
+    v = formats.parse_instances((FIXTURES / "interop" / "points.csv").read_text(), space)[1]
+    c = evaluate(model, v).class_id
+    calls = [0]
+    tree_range = oracle._tree_range
+
+    def counting(node, box):
+        calls[0] += 1
+        return tree_range(node, box)
+
+    monkeypatch.setattr(oracle, "_tree_range", counting)
+    witness = find_counterexample(model, v, c, range(space.m))
+    incremental = calls[0]
+    calls[0] = 0
+    monkeypatch.setattr(oracle, "_maximize", _reference_maximize)
+    assert find_counterexample(model, v, c, range(space.m)) == witness
+    reference = calls[0]
+    assert witness is not None and evaluate(model, witness).class_id != c
+    assert incremental < reference, (incremental, reference)
