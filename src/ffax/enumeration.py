@@ -18,7 +18,7 @@ and gives growing budgets prefix-compatible results.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .cells import GRID_CAP, class_grid, grid_size
@@ -39,9 +39,6 @@ class Explanation:
     discovery_index: int
     discovery_time: float
     oracle_calls: int  # cumulative count when this set was recorded
-
-    def sorted_features(self) -> tuple[int, ...]:
-        return tuple(sorted(self.features))
 
 
 @dataclass(frozen=True)
@@ -261,19 +258,8 @@ def extract_axp(
     _clock: _Clock | None = None,
     _verify_seed: bool = True,
 ) -> frozenset[int]:
-    """Deletion-based shrink of a sufficient ``seed`` to a subset-minimal AXp.
-
-    Features are scanned in ascending id order (or the explicit ``order``);
-    each is dropped iff the remainder still forces the prediction.
-    """
-    current = set(seed)
-    if _verify_seed and not _sufficient(model, v, c, current, _clock):
-        raise ContractError("seed set does not force the prediction")
-    for fid in _scan_order(set(current), order):
-        trial = current - {fid}
-        if _sufficient(model, v, c, trial, _clock):
-            current = trial
-    return frozenset(current)
+    """Deletion-based shrink of a sufficient ``seed`` to an AXp; see ``_extract``."""
+    return _extract(AXP, model, v, c, seed, order, _clock, _verify_seed)
 
 
 def extract_cxp(
@@ -285,26 +271,45 @@ def extract_cxp(
     _clock: _Clock | None = None,
     _verify_seed: bool = True,
 ) -> frozenset[int]:
-    """Deletion-based shrink of a class-changing free ``seed`` to a CXp."""
-    current = set(seed)
-    if _verify_seed and not _admits_flip(model, v, c, current, _clock):
-        raise ContractError("freeing the seed set admits no class change")
-    for fid in _scan_order(set(current), order):
+    """Deletion-based shrink of a class-changing free ``seed`` to a CXp; see ``_extract``."""
+    return _extract(CXP, model, v, c, seed, order, _clock, _verify_seed)
+
+
+_SEED_ERRORS = {
+    AXP: "seed set does not force the prediction",
+    CXP: "freeing the seed set admits no class change",
+}
+
+
+def _extract(kind, model, v, c, seed, order, clock, verify_seed) -> frozenset[int]:
+    """Deletion-based shrink of a ``seed`` that holds as ``kind`` to a minimal one.
+
+    The enumeration loop extracts its duals with it. Features are scanned in
+    ascending id order (or the explicit ``order``); each is dropped iff the
+    remainder still holds as ``kind`` (see ``_holds``).
+    """
+    current = frozenset(seed)
+    if verify_seed and not _holds(kind, model, v, c, current, clock):
+        raise ContractError(_SEED_ERRORS[kind])
+    for fid in _scan_order(current, order):
         trial = current - {fid}
-        if _admits_flip(model, v, c, trial, _clock):
+        if _holds(kind, model, v, c, trial, clock):
             current = trial
-    return frozenset(current)
+    return current
 
 
-def _admits_flip(model, v, c, free: set[int], clock: _Clock | None) -> Instance | None:
+def _holds(kind, model, v, c, features: frozenset[int], clock: _Clock | None) -> bool:
+    """Does ``features`` hold as ``kind``? One oracle call.
+
+    An AXp set holds when fixing it forces ``c``, a CXp set when freeing it
+    admits a class change. A set holds as one kind iff its complement fails
+    as the other.
+    """
     if clock is not None:
         clock.before_call()
-    return _find_counterexample_unchecked(model, v, c, frozenset(free))
-
-
-def _sufficient(model, v, c, subset: set[int], clock: _Clock | None) -> bool:
-    free = set(range(model.space.m)) - subset
-    return _admits_flip(model, v, c, free, clock) is None
+    free = features if kind == CXP else model.space.all_features() - features
+    flips = _find_counterexample_unchecked(model, v, c, free) is not None
+    return flips if kind == CXP else not flips
 
 
 # --- the enumeration loop -------------------------------------------------------
@@ -320,12 +325,14 @@ def enumerate_explanations(
 ) -> EnumerationReport:
     """Collect AXp's and CXp's until complete or until the budget trips.
 
-    ``mode`` picks the candidate type: "cxp-first" (default) draws candidates
-    as hitting sets of the collected AXp's and tests them as CXp's, amassing
-    AXp's from failed candidates' complements; "axp-first" swaps the roles.
-    A candidate that passes its test is minimal by construction: any proper
-    subset of a minimal hitting set misses some collected dual, which refutes
-    the respective condition outright.
+    ``mode`` picks the target kind, the one tested on candidates: "cxp-first"
+    (default) targets CXp's, "axp-first" targets AXp's; the other kind is the
+    dual. Each candidate is a minimal hitting set of the collected duals that
+    contains no collected target. A candidate that holds as a target is
+    recorded; it is minimal by construction, since any proper subset misses
+    some collected dual, which refutes the target condition outright. A
+    candidate that fails leaves a complement that holds as a dual, and a dual
+    is extracted from it.
     """
     if mode not in ("cxp-first", "axp-first"):
         raise ContractError(f"unknown mode {mode!r}")
@@ -338,9 +345,13 @@ def enumerate_explanations(
     clock = _Clock(budget)
     m = model.space.m
     all_features = frozenset(range(m))
+    target, dual = (CXP, AXP) if mode == "cxp-first" else (AXP, CXP)
+    # read at call time, not bound at import: a wrapper swapped onto the module is called
+    extract_dual = extract_axp if dual == AXP else extract_cxp
 
     axps: list[Explanation] = []
     cxps: list[Explanation] = []
+    found = {AXP: axps, CXP: cxps}
     complete = False
     index = 0
 
@@ -355,7 +366,7 @@ def enumerate_explanations(
             discovery_time=clock.elapsed(),
             oracle_calls=clock.calls,
         )
-        (axps if kind == AXP else cxps).append(entry)
+        found[kind].append(entry)
         index += 1
 
     try:
@@ -364,32 +375,19 @@ def enumerate_explanations(
                 break
             if budget.max_cxps is not None and len(cxps) >= budget.max_cxps:
                 break
-            if mode == "cxp-first":
-                candidate = minimal_hs([e.features for e in axps], [e.features for e in cxps], m)
-                if candidate is None:
-                    complete = True
-                    break
-                witness = _admits_flip(model, v, c, set(candidate), clock)
-                if witness is not None:
-                    record(CXP, candidate)
-                else:
-                    # The complement is sufficient, so it contains a new AXp.
-                    record(AXP, extract_axp(
-                        model, v, c, all_features - candidate, order,
-                        _clock=clock, _verify_seed=False,
-                    ))
-            else:
-                candidate = minimal_hs([e.features for e in cxps], [e.features for e in axps], m)
-                if candidate is None:
-                    complete = True
-                    break
-                if _sufficient(model, v, c, set(candidate), clock):
-                    record(AXP, candidate)
-                else:
-                    record(CXP, extract_cxp(
-                        model, v, c, all_features - candidate, order,
-                        _clock=clock, _verify_seed=False,
-                    ))
+            candidate = minimal_hs(
+                [e.features for e in found[dual]], [e.features for e in found[target]], m
+            )
+            if candidate is None:
+                complete = True
+                break
+            if _holds(target, model, v, c, candidate, clock):
+                record(target, candidate)
+            else:  # the complement holds as a dual, so it contains a new one
+                record(dual, extract_dual(
+                    model, v, c, all_features - candidate, order,
+                    _clock=clock, _verify_seed=False,
+                ))
     except BudgetExceeded:
         complete = False
 
@@ -459,7 +457,7 @@ class DualityViolation:
     side: str  # "axp" | "cxp"
     offender: frozenset[int]
     counterpart: frozenset[int] | None
-    reason: str  # "misses" | "not-minimal"
+    reason: str  # "misses" | "not-minimal" | "unreported" (a missing minimal hitting set)
 
 
 def check_duality(
@@ -467,7 +465,10 @@ def check_duality(
 ) -> DualityViolation | None:
     """Verify each side is exactly the minimal hitting sets of the other.
 
-    Intended for complete reports; returns the first violation found, or None.
+    Every set must hit every dual and be a minimal hitting set of the duals;
+    then no minimal hitting set of either side may be missing from the other,
+    which ``minimal_hs`` decides with the reported sets blocked. Intended for
+    complete reports; returns the first violation found, or None.
     """
     axps = [frozenset(s) for s in axps]
     cxps = [frozenset(s) for s in cxps]
@@ -483,4 +484,12 @@ def check_duality(
                     return DualityViolation(side, s, None, "not-minimal")
         return None
 
-    return first_violation("axp", axps, cxps) or first_violation("cxp", cxps, axps)
+    violation = first_violation("axp", axps, cxps) or first_violation("cxp", cxps, axps)
+    if violation is not None:
+        return violation
+    m = 1 + max((fid for s in axps + cxps for fid in s), default=-1)
+    for side, sets, duals in (("axp", axps, cxps), ("cxp", cxps, axps)):
+        missing = minimal_hs(duals, sets, m)
+        if missing is not None:
+            return DualityViolation(side, missing, None, "unreported")
+    return None

@@ -61,9 +61,6 @@ class PartialAssignment:
     instance: Instance
     fixed: frozenset[int]
 
-    def free(self, m: int) -> frozenset[int]:
-        return frozenset(range(m)) - self.fixed
-
 
 @dataclass(frozen=True)
 class ScoreBounds:
@@ -276,35 +273,23 @@ class _TreeOracle:
         """A domain-valid x agreeing with v outside ``free`` with class != c."""
         fixed = frozenset(range(self.model.space.m)) - frozenset(free)
         box = self.box_for(v, fixed)
-        if self.model.single_score:
-            if c == 1:  # flip needs score < 0, i.e. max(-score) > 0
-                _, wbox = _maximize(self.objective(None, 1), box, fail_below=0.0, strict=True)
-            else:  # flip needs score >= 0
-                _, wbox = _maximize(self.objective(1, None), box, fail_below=0.0, strict=False)
-            if wbox is None:
-                return None
-            return self.cells.materialize(_box_indices(wbox), v, fixed)
-        for rival in range(self.model.k):
-            if rival == c:
-                continue
-            strict = rival > c  # ties go to the lower class id
-            _, wbox = _maximize(
-                self.objective(rival, c), box, fail_below=0.0, strict=strict
-            )
+        # (pos, neg, strict): a flip needs max(pos - neg) >= 0, or > 0 if strict
+        if not self.model.single_score:  # ties go to the lower class id
+            queries = [(rival, c, rival > c) for rival in range(self.model.k) if rival != c]
+        elif c == 1:  # flip needs score < 0, i.e. max(-score) > 0
+            queries = [(None, 1, True)]
+        else:  # flip needs score >= 0
+            queries = [(1, None, False)]
+        for pos, neg, strict in queries:
+            _, wbox = _maximize(self.objective(pos, neg), box, fail_below=0.0, strict=strict)
             if wbox is not None:
                 return self.cells.materialize(_box_indices(wbox), v, fixed)
         return None
 
     def score_bounds(self, box, pair: tuple[int, int] | None) -> ScoreBounds:
-        if pair is None:
-            if not self.model.single_score:
-                raise ContractError(
-                    "multiclass ensembles need an explicit (rival, predicted) pair"
-                )
-            hi, _ = _maximize(self.objective(1, None), box)
-            neg_hi, _ = _maximize(self.objective(None, 1), box)
-            return ScoreBounds(lo=-neg_hi, hi=hi)
-        plus, minus = pair
+        if pair is None and not self.model.single_score:
+            raise ContractError("multiclass ensembles need an explicit (rival, predicted) pair")
+        plus, minus = pair or (1, None)
         hi, _ = _maximize(self.objective(plus, minus), box)
         neg_hi, _ = _maximize(self.objective(minus, plus), box)
         return ScoreBounds(lo=-neg_hi, hi=hi)

@@ -1,5 +1,6 @@
 """Shared fixtures and the independent naive evaluators used as test oracles."""
 
+import json
 import random
 from pathlib import Path
 
@@ -39,6 +40,19 @@ def adult_instance(adult_space):
     return formats.parse_instances(
         (FIXTURES / "adult" / "instances.csv").read_text(), adult_space
     )[0]
+
+
+@pytest.fixture(scope="session")
+def interop():
+    """The trained 30-feature, 25-tree dump fixture: (model, instances)."""
+    meta = json.loads((FIXTURES / "interop" / "meta.json").read_text())
+    space = formats.parse_feature_space((FIXTURES / "interop" / "feature_space.json").read_text())
+    model = formats.parse_ensemble_dump(
+        (FIXTURES / "interop" / "model_dump.json").read_text(),
+        space,
+        class_names=tuple(meta["classes"]),
+    )
+    return model, formats.parse_instances((FIXTURES / "interop" / "points.csv").read_text(), space)
 
 
 @pytest.fixture

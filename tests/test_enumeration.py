@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ffax.enumeration import (
     Budget,
+    DualityViolation,
     brute_force_all_xps,
     check_duality,
     enumerate_explanations,
@@ -421,6 +423,43 @@ def test_axp_first_mode_reaches_the_same_sets(adult_model, adult_instance):
     assert set(a.cxp_sets()) == set(b.cxp_sets())
 
 
+def _report_digest(reports) -> str:
+    """sha256 over every event's kind, features, index and oracle-call count."""
+    summary = [
+        (
+            [(e.kind, sorted(e.features), e.discovery_index, e.oracle_calls) for e in r.events()],
+            r.oracle_calls,
+            r.complete,
+        )
+        for r in reports
+    ]
+    return hashlib.sha256(repr(summary).encode()).hexdigest()
+
+
+# Reports are pinned byte for byte: discovery order and the oracle-call count at
+# each event, not only the final sets. Witness-guided CXp extraction (ROADMAP
+# direction 1) saves oracle calls in axp-first mode and will re-pin the
+# axp-first digests on purpose; the cxp-first digests must not move.
+@pytest.mark.parametrize("source, mode, digest", [
+    ("adult", "cxp-first",
+     "f4bb67789489d59c6f6f6019912b88a206d88914d8f6a356c892296ede2c0ca4"),
+    ("adult", "axp-first",
+     "64ecaf62dd904595409e221ab835b12a30f4e5c2df2bca3873d6fd2a4db3fb4a"),
+    ("interop", "cxp-first",
+     "3f05e5a04dcafd2761dd5047a2955dd5854244c873e985667f03006335a4c3a7"),
+    ("interop", "axp-first",
+     "2eebd43b15f94a5140fcd346d6add1e29d923f12e85474ce2f31ade560f35aa4"),
+], ids=["adult-cxp-first", "adult-axp-first", "interop-cxp-first", "interop-axp-first"])
+def test_reports_are_pinned(adult_model, adult_instance, interop, source, mode, digest):
+    if source == "adult":
+        model, points, budget = adult_model, [adult_instance], None
+    else:
+        model, points = interop[0], [interop[1][4], interop[1][7]]
+        budget = Budget(max_oracle_calls=1500)
+    reports = [enumerate_explanations(model, v, budget=budget, mode=mode) for v in points]
+    assert _report_digest(reports) == digest
+
+
 def test_enumerate_matches_brute_force_fuzz(rng):
     for _ in range(40):
         m = rng.randint(2, 8)
@@ -475,6 +514,11 @@ def test_check_duality_ok_and_violation():
     assert violation.counterpart == frozenset({1})
     not_minimal = check_duality([{0, 1}], [{0}])
     assert not_minimal is not None and not_minimal.reason == "not-minimal"
+    # each set is a minimal hitting set of the other side, yet {1, 4} hits both
+    # CXp's and contains no reported AXp, so an AXp is missing
+    unreported = check_duality([{1, 3}, {2, 4}], [{1, 2}, {3, 4}])
+    assert unreported == DualityViolation("axp", frozenset({1, 4}), None, "unreported")
+    assert check_duality([frozenset()], []) is None  # constant prediction
 
 
 def test_enumeration_soundness_fuzz(rng):

@@ -1,12 +1,11 @@
 import heapq
-import json
 import random
 from types import SimpleNamespace
 
 import pytest
 
-from conftest import FIXTURES, linear_corner_flip, naive_class
-from ffax import formats, oracle
+from conftest import linear_corner_flip, naive_class
+from ffax import oracle
 from ffax.cells import CellSystem
 from ffax.errors import CapabilityError, CapacityError, ContractError
 from ffax.model import (
@@ -515,15 +514,8 @@ def test_incremental_search_matches_full_recompute(rng, monkeypatch):
     assert searches > 1000 and branched > 500, (searches, branched)
 
 
-def test_incremental_search_walks_fewer_trees_on_interop(monkeypatch):
-    meta = json.loads((FIXTURES / "interop" / "meta.json").read_text())
-    space = formats.parse_feature_space((FIXTURES / "interop" / "feature_space.json").read_text())
-    model = formats.parse_ensemble_dump(
-        (FIXTURES / "interop" / "model_dump.json").read_text(),
-        space,
-        class_names=tuple(meta["classes"]),
-    )
-    v = formats.parse_instances((FIXTURES / "interop" / "points.csv").read_text(), space)[1]
+def test_incremental_search_walks_fewer_trees_on_interop(monkeypatch, interop):
+    model, v = interop[0], interop[1][1]
     c = evaluate(model, v).class_id
     calls = [0]
     tree_range = oracle._tree_range
@@ -533,11 +525,11 @@ def test_incremental_search_walks_fewer_trees_on_interop(monkeypatch):
         return tree_range(node, box)
 
     monkeypatch.setattr(oracle, "_tree_range", counting)
-    witness = find_counterexample(model, v, c, range(space.m))
+    witness = find_counterexample(model, v, c, range(model.space.m))
     incremental = calls[0]
     calls[0] = 0
     monkeypatch.setattr(oracle, "_maximize", _reference_maximize)
-    assert find_counterexample(model, v, c, range(space.m)) == witness
+    assert find_counterexample(model, v, c, range(model.space.m)) == witness
     reference = calls[0]
     assert witness is not None and evaluate(model, witness).class_id != c
     assert incremental < reference, (incremental, reference)
