@@ -460,6 +460,28 @@ def test_reports_are_pinned(adult_model, adult_instance, interop, source, mode, 
     assert _report_digest(reports) == digest
 
 
+@pytest.fixture(scope="module")
+def complete_axp_first(adult_model, adult_instance, interop):
+    """Complete axp-first reports: the adult fixture, then interop rows 4 and 7."""
+    runs = [(adult_model, adult_instance)] + [(interop[0], interop[1][row]) for row in (4, 7)]
+    return [enumerate_explanations(model, v, mode="axp-first") for model, v in runs]
+
+
+def test_axp_first_discovery_order_is_pinned(complete_axp_first):
+    # Sets and discovery order only, with no oracle-call counts: whatever an
+    # extraction saves in calls, it must record the same sets in the same order.
+    summary = [
+        ([(e.kind, sorted(e.features), e.discovery_index) for e in r.events()], r.complete)
+        for r in complete_axp_first
+    ]
+    digest = hashlib.sha256(repr(summary).encode()).hexdigest()
+    assert digest == "171a6229b0fa104fe1d437acce44b37c8dbe63375986a419d9a88fffc890aee4"
+
+
+def test_axp_first_call_totals_are_pinned(complete_axp_first):
+    assert [r.oracle_calls for r in complete_axp_first] == [15, 4222, 2997]
+
+
 def test_enumerate_matches_brute_force_fuzz(rng):
     for _ in range(40):
         m = rng.randint(2, 8)
