@@ -27,7 +27,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from . import attribution as attr
@@ -200,6 +199,8 @@ def _run_rows(args: argparse.Namespace, worker):
     points = [instances[row] for row in rows]
     workers = min(args.workers, len(rows))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # not loaded for serial runs
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = math.ceil(len(rows) / workers)
             return space, list(pool.map(work, rows, points, chunksize=chunk))

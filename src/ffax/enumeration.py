@@ -257,9 +257,10 @@ def extract_axp(
     order: Sequence[int] | None = None,
     _clock: _Clock | None = None,
     _verify_seed: bool = True,
+    _moved: frozenset[int] | None = None,
 ) -> frozenset[int]:
     """Deletion-based shrink of a sufficient ``seed`` to an AXp; see ``_extract``."""
-    return _extract(AXP, model, v, c, seed, order, _clock, _verify_seed)
+    return _extract(AXP, model, v, c, seed, order, _clock, _verify_seed, _moved)
 
 
 def extract_cxp(
@@ -270,9 +271,15 @@ def extract_cxp(
     order: Sequence[int] | None = None,
     _clock: _Clock | None = None,
     _verify_seed: bool = True,
+    _moved: frozenset[int] | None = None,
 ) -> frozenset[int]:
-    """Deletion-based shrink of a class-changing free ``seed`` to a CXp; see ``_extract``."""
-    return _extract(CXP, model, v, c, seed, order, _clock, _verify_seed)
+    """Deletion-based shrink of a class-changing free ``seed`` to a CXp; see ``_extract``.
+
+    The seed check's counterexample, or one that differs from ``v`` only on
+    ``_moved`` (a subset of ``seed``), decides every trial that drops a
+    feature where it has ``v``'s value, so those trials cost no oracle call.
+    """
+    return _extract(CXP, model, v, c, seed, order, _clock, _verify_seed, _moved)
 
 
 _SEED_ERRORS = {
@@ -281,35 +288,57 @@ _SEED_ERRORS = {
 }
 
 
-def _extract(kind, model, v, c, seed, order, clock, verify_seed) -> frozenset[int]:
+def _extract(kind, model, v, c, seed, order, clock, verify_seed, moved) -> frozenset[int]:
     """Deletion-based shrink of a ``seed`` that holds as ``kind`` to a minimal one.
 
     The enumeration loop extracts its duals with it. Features are scanned in
     ascending id order (or the explicit ``order``); each is dropped iff the
     remainder still holds as ``kind`` (see ``_holds``).
+
+    The last counterexample seen is kept, as the set ``moved`` of features
+    where it differs from ``v``, and decides a trial without an oracle call
+    when it agrees with ``v`` on every feature the trial fixes; the oracle
+    would have found a flip there too, so the decisions, hence the result,
+    are those of a call per trial. In a CXp shrink the counterexample agrees
+    with ``v`` outside the current set, so this is "it has ``v``'s value at
+    the dropped feature". It never decides an AXp trial: a failed trial's
+    counterexample differs from ``v`` at the feature that trial kept (else
+    the current set would not force ``c``), and that feature stays fixed in
+    every later trial.
     """
     current = frozenset(seed)
-    if verify_seed and not _holds(kind, model, v, c, current, clock):
-        raise ContractError(_SEED_ERRORS[kind])
+    if verify_seed:
+        holds, moved = _holds(kind, model, v, c, current, clock, moved)
+        if not holds:
+            raise ContractError(_SEED_ERRORS[kind])
     for fid in _scan_order(current, order):
         trial = current - {fid}
-        if _holds(kind, model, v, c, trial, clock):
+        holds, moved = _holds(kind, model, v, c, trial, clock, moved)
+        if holds:
             current = trial
     return current
 
 
-def _holds(kind, model, v, c, features: frozenset[int], clock: _Clock | None) -> bool:
-    """Does ``features`` hold as ``kind``? One oracle call.
+def _holds(kind, model, v, c, features: frozenset[int], clock: _Clock | None, moved=None):
+    """Does ``features`` hold as ``kind``? The answer and the last counterexample's ``moved``.
 
     An AXp set holds when fixing it forces ``c``, a CXp set when freeing it
     admits a class change. A set holds as one kind iff its complement fails
-    as the other.
+    as the other. ``moved`` holds the features where an earlier
+    counterexample differs from ``v``; if all of them are free, that
+    counterexample is one here too, and "a flip exists" needs no oracle call.
+    Otherwise one oracle call decides, and a counterexample it finds
+    replaces ``moved``.
     """
-    if clock is not None:
-        clock.before_call()
     free = features if kind == CXP else model.space.all_features() - features
-    flips = _find_counterexample_unchecked(model, v, c, free) is not None
-    return flips if kind == CXP else not flips
+    if moved is None or not moved <= free:
+        if clock is not None:
+            clock.before_call()
+        found = _find_counterexample_unchecked(model, v, c, free)
+        if found is None:
+            return kind == AXP, moved
+        moved = frozenset(fid for fid, x in enumerate(v.values) if found.values[fid] != x)
+    return kind == CXP, moved
 
 
 # --- the enumeration loop -------------------------------------------------------
@@ -332,7 +361,7 @@ def enumerate_explanations(
     recorded; it is minimal by construction, since any proper subset misses
     some collected dual, which refutes the target condition outright. A
     candidate that fails leaves a complement that holds as a dual, and a dual
-    is extracted from it.
+    is extracted from it, starting from the failed test's counterexample.
     """
     if mode not in ("cxp-first", "axp-first"):
         raise ContractError(f"unknown mode {mode!r}")
@@ -381,12 +410,13 @@ def enumerate_explanations(
             if candidate is None:
                 complete = True
                 break
-            if _holds(target, model, v, c, candidate, clock):
+            holds, moved = _holds(target, model, v, c, candidate, clock)
+            if holds:
                 record(target, candidate)
             else:  # the complement holds as a dual, so it contains a new one
                 record(dual, extract_dual(
                     model, v, c, all_features - candidate, order,
-                    _clock=clock, _verify_seed=False,
+                    _clock=clock, _verify_seed=False, _moved=moved,
                 ))
     except BudgetExceeded:
         complete = False

@@ -24,6 +24,14 @@ same reason only those trees can hold the first ambiguous test on ``fid``.
 Bounds and gaps are still summed over all trees in tree-index order, so they
 are bit-identical to a full re-walk, and so are the pops and the result.
 
+A witness is materialized from the first determined box that reaches the
+flip: every feature whose instance cell lies in the box's domain keeps the
+instance's exact value, fixed or free, and every other feature takes the
+representative of its lowest cell in the box. This is exact: a determined box
+has one reachable leaf per tree, so every point in it has the same score. A
+witness that agrees with the instance on a feature is what lets extraction
+decide a later trial that fixes the feature without a call.
+
 Class change is decided per the model's tie rule: for a single-score binary
 model with prediction 1 the query is min score < 0, with prediction 0 it is
 max score >= 0; for multiclass it is a disjunction over rival classes c' of
@@ -270,7 +278,11 @@ class _TreeOracle:
         return _full_box(self.cells, fixed_cells)
 
     def find_class_change(self, v: Instance, c: int, free) -> Instance | None:
-        """A domain-valid x agreeing with v outside ``free`` with class != c."""
+        """A domain-valid x agreeing with v outside ``free`` with class != c.
+
+        x keeps v's exact value on every feature whose cell lies in the
+        witness box's domain, free or not (see the module docstring).
+        """
         fixed = frozenset(range(self.model.space.m)) - frozenset(free)
         box = self.box_for(v, fixed)
         # (pos, neg, strict): a flip needs max(pos - neg) >= 0, or > 0 if strict
@@ -283,7 +295,7 @@ class _TreeOracle:
         for pos, neg, strict in queries:
             _, wbox = _maximize(self.objective(pos, neg), box, fail_below=0.0, strict=strict)
             if wbox is not None:
-                return self.cells.materialize(_box_indices(wbox), v, fixed)
+                return _witness_point(self.cells, v, box, wbox)
         return None
 
     def score_bounds(self, box, pair: tuple[int, int] | None) -> ScoreBounds:
@@ -295,8 +307,25 @@ class _TreeOracle:
         return ScoreBounds(lo=-neg_hi, hi=hi)
 
 
-def _box_indices(box) -> list[int]:
-    return [dom[0] if isinstance(dom, tuple) else min(dom) for dom in box]
+def _witness_point(cells: CellSystem, v: Instance, box, wbox) -> Instance:
+    """A point of the determined box ``wbox``, searched from ``box``, like v.
+
+    It keeps v's exact value on every feature whose domain holds v's cell and
+    takes the representative of the domain's lowest cell elsewhere. Only a
+    domain the search split can have lost v's cell: every other one is still
+    ``box``'s own object, a fixed feature's cell or a free feature's full
+    domain.
+    """
+    values = list(v.values)
+    for fid, dom in enumerate(wbox):
+        if dom is not box[fid]:
+            cell = cells.cell_of(fid, values[fid])
+            if isinstance(dom, tuple):
+                if not dom[0] <= cell <= dom[1]:
+                    values[fid] = cells.reps[fid][dom[0]]
+            elif cell not in dom:
+                values[fid] = cells.reps[fid][min(dom)]
+    return Instance(values=tuple(values))
 
 
 _ORACLE_CACHE: dict[int, _TreeOracle] = {}
@@ -379,7 +408,12 @@ def _check_features(model: Model, fids: Iterable[int]) -> frozenset[int]:
 def find_counterexample(
     model: Model, v: Instance, c: int, free: Iterable[int]
 ) -> Instance | None:
-    """Witness x agreeing with v outside ``free`` with a different class, or None."""
+    """Witness x agreeing with v outside ``free`` with a different class, or None.
+
+    For a tree ensemble, x also keeps v's exact value on every free feature
+    where the flip it found does not need another cell (see the module
+    docstring).
+    """
     _check_predicted(model, v, c)
     return _find_counterexample_unchecked(model, v, c, _check_features(model, free))
 

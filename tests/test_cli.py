@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURES
+import ffax
 from ffax import formats
 from ffax.cli import _certified_bound, main
 from ffax.model import FeatureSpace, FeatureSpec, Instance, LinearModel
@@ -371,3 +376,12 @@ def test_workers_output_matches_one_worker(capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
     assert outputs[0].count("  AXp: ") == 6
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # Only a --workers run imports the pool; a serial run does not pay for it.
+    paths = [str(Path(ffax.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    code = "import sys, ffax.cli; print('concurrent.futures.process' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout.strip()) == (0, "False"), done.stderr

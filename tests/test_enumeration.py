@@ -1,10 +1,13 @@
 import hashlib
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffax.enumeration import (
+    AXP,
+    CXP,
     Budget,
     DualityViolation,
     brute_force_all_xps,
@@ -13,6 +16,7 @@ from ffax.enumeration import (
     extract_axp,
     extract_cxp,
     minimal_hs,
+    _Clock,
 )
 from ffax.errors import CapacityError, ContractError
 from ffax.model import (
@@ -26,7 +30,7 @@ from ffax.model import (
     evaluate,
 )
 from ffax.oracle import decide_sufficiency, find_counterexample
-from ffax.synth import random_ensemble, random_instance, random_space
+from ffax.synth import random_ensemble, random_instance, random_linear, random_space
 
 
 def boolean_space(m):
@@ -110,6 +114,82 @@ def test_extract_cxp_is_minimal(rng):
         assert find_counterexample(model, v, c, cxp) is not None
         for fid in cxp:
             assert find_counterexample(model, v, c, cxp - {fid}) is None
+
+
+# --- the call-per-trial deletion loop, frozen as the reference for _extract -----
+#
+# The loop as it was before it kept the last counterexample: one oracle call
+# per trial. The witness-guided loop must return the same set from the same
+# seed and scan order, with no more oracle calls (the same number for an AXp).
+
+
+def _reference_extract(kind, model, v, c, seed, order=None):
+    """(the extracted set, its oracle calls with the seed check), or None if
+    ``seed`` does not hold as ``kind``."""
+    calls = 0
+
+    def holds(features):
+        nonlocal calls
+        calls += 1
+        free = features if kind == CXP else model.space.all_features() - features
+        flips = find_counterexample(model, v, c, free) is not None
+        return flips if kind == CXP else not flips
+
+    current = frozenset(seed)
+    if not holds(current):
+        return None
+    scan = sorted(current) if order is None else [fid for fid in order if fid in current]
+    for fid in scan:
+        trial = current - {fid}
+        if holds(trial):
+            current = trial
+    return current, calls
+
+
+@st.composite
+def extraction_problems(draw):
+    """A tree ensemble (k = 2 or 3) or linear model, an instance, and a scan order."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        model, space = random_linear(rng, m)
+    else:
+        space = random_space(rng, m, kinds=draw(st.sampled_from(
+            (("categorical", "ordinal", "boolean"), ("ordinal",), ("categorical",), ("boolean",))
+        )))
+        model = random_ensemble(
+            rng, space, n_trees=rng.randint(1, 6), depth=rng.randint(1, 3),
+            k=draw(st.sampled_from((2, 3))),
+        )
+    order = draw(st.none() | st.permutations(range(m)))
+    seed = draw(st.frozensets(st.integers(0, m - 1)))
+    return model, random_instance(rng, space), order, seed
+
+
+@settings(max_examples=150)
+@given(extraction_problems())
+def test_extract_matches_call_per_trial_reference(problem):
+    model, v, order, seed = problem
+    c = evaluate(model, v).class_id
+    for kind, extract in ((AXP, extract_axp), (CXP, extract_cxp)):
+        for start in (model.space.all_features(), seed):
+            reference = _reference_extract(kind, model, v, c, start, order)
+            if reference is None:
+                continue  # the seed does not hold (no seed holds as a CXp if c is constant)
+            expected, reference_calls = reference
+            clock = _Clock(Budget.unlimited())
+            assert extract(model, v, c, start, order, _clock=clock) == expected
+            if kind == AXP:
+                assert clock.calls == reference_calls
+                continue
+            assert clock.calls <= reference_calls
+            # as the enumeration loop calls it: no seed check, and the features
+            # where the seed's counterexample differs from v handed in
+            w = find_counterexample(model, v, c, start)
+            moved = frozenset(fid for fid, x in enumerate(v.values) if w.values[fid] != x)
+            clock = _Clock(Budget.unlimited())
+            got = extract(model, v, c, start, order, _clock=clock, _verify_seed=False, _moved=moved)
+            assert got == expected and clock.calls < reference_calls
 
 
 # --- minimal_hs ------------------------------------------------------------------
@@ -437,18 +517,19 @@ def _report_digest(reports) -> str:
 
 
 # Reports are pinned byte for byte: discovery order and the oracle-call count at
-# each event, not only the final sets. Witness-guided CXp extraction (ROADMAP
-# direction 1) saves oracle calls in axp-first mode and will re-pin the
-# axp-first digests on purpose; the cxp-first digests must not move.
+# each event, not only the final sets. The axp-first digests were re-pinned
+# when witness-guided CXp extraction cut their oracle calls (sets and order
+# are pinned apart, by test_axp_first_discovery_order_is_pinned); the
+# cxp-first digests have not moved.
 @pytest.mark.parametrize("source, mode, digest", [
     ("adult", "cxp-first",
      "f4bb67789489d59c6f6f6019912b88a206d88914d8f6a356c892296ede2c0ca4"),
     ("adult", "axp-first",
-     "64ecaf62dd904595409e221ab835b12a30f4e5c2df2bca3873d6fd2a4db3fb4a"),
+     "9ec6cedc1c8ef60093b79b96ccdd93185db63eae510dcaf1e6c37f35ce1d77bb"),
     ("interop", "cxp-first",
      "3f05e5a04dcafd2761dd5047a2955dd5854244c873e985667f03006335a4c3a7"),
     ("interop", "axp-first",
-     "2eebd43b15f94a5140fcd346d6add1e29d923f12e85474ce2f31ade560f35aa4"),
+     "740d8f617b7c3361ea608d3ab606244b082ba5b0c19b4366d2241e7589bd4f2a"),
 ], ids=["adult-cxp-first", "adult-axp-first", "interop-cxp-first", "interop-axp-first"])
 def test_reports_are_pinned(adult_model, adult_instance, interop, source, mode, digest):
     if source == "adult":
@@ -479,7 +560,7 @@ def test_axp_first_discovery_order_is_pinned(complete_axp_first):
 
 
 def test_axp_first_call_totals_are_pinned(complete_axp_first):
-    assert [r.oracle_calls for r in complete_axp_first] == [15, 4222, 2997]
+    assert [r.oracle_calls for r in complete_axp_first] == [9, 1595, 1081]
 
 
 def test_enumerate_matches_brute_force_fuzz(rng):

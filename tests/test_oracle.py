@@ -3,6 +3,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import linear_corner_flip, naive_class
 from ffax import oracle
@@ -14,9 +15,11 @@ from ffax.model import (
     FeatureSpec,
     Instance,
     Leaf,
+    LinearModel,
     Tree,
     TreeEnsemble,
     evaluate,
+    validate_instance,
 )
 from ffax.oracle import (
     PartialAssignment,
@@ -120,6 +123,58 @@ def test_conjunction_counterexample():
     w = find_counterexample(model, v, 1, {0})
     assert w is not None
     assert (bool(w.values[0]), bool(w.values[1])) == (False, True)
+
+
+@st.composite
+def counterexample_queries(draw):
+    """A tree ensemble (k = 2 or 3) or linear model, an instance, a free set."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        model, space = random_linear(rng, m)
+    else:
+        space = random_space(rng, m)
+        model = random_ensemble(
+            rng, space, n_trees=rng.randint(1, 6), depth=rng.randint(1, 3),
+            k=draw(st.sampled_from((2, 3))),
+        )
+    return model, random_instance(rng, space), draw(st.frozensets(st.integers(0, m - 1)))
+
+
+@given(counterexample_queries())
+def test_every_witness_flips_and_agrees_with_the_instance_outside_free(query):
+    model, v, free = query
+    c = evaluate(model, v).class_id
+    w = find_counterexample(model, v, c, free)
+    if w is None:
+        return
+    assert validate_instance(model.space, w) == []
+    if isinstance(model, LinearModel):
+        assert evaluate(model, w).class_id != c
+    else:
+        assert naive_class(model, w.values) != c
+    assert all(w.values[fid] == v.values[fid] for fid in range(model.space.m) if fid not in free)
+    if isinstance(model, TreeEnsemble):  # a free feature left in v's cell keeps v's value
+        cells = CellSystem(model)
+        for fid in free:
+            if cells.cell_of(fid, w.values[fid]) == cells.cell_of(fid, v.values[fid]):
+                assert w.values[fid] == v.values[fid]
+
+
+def test_free_feature_no_tree_reads_keeps_the_instance_value():
+    # Only feature 0 is read. Features 1 and 2 are free but irrelevant, so the
+    # witness keeps v's 7.25 and "blue" instead of the cell representatives
+    # 5.0 and "red".
+    space = FeatureSpace((
+        FeatureSpec(0, "a", "boolean"),
+        FeatureSpec(1, "x", "ordinal", lo=0.0, hi=10.0),
+        FeatureSpec(2, "colour", "categorical", values=("red", "blue")),
+    ))
+    tree = Tree(1, BooleanSplit(0, yes=Leaf(1.0), no=Leaf(-1.0)))
+    model = TreeEnsemble(space, ("f", "t"), (tree,))
+    v = Instance((True, 7.25, "blue"))
+    assert CellSystem(model).reps[1:] == ((5.0,), ("red", "blue"))
+    assert find_counterexample(model, v, 1, {0, 1, 2}) == Instance((False, 7.25, "blue"))
 
 
 # --- score_bounds -------------------------------------------------------------
