@@ -451,18 +451,47 @@ def test_multiclass_tie_goes_to_the_lower_class_id(rival, flips):
 # --- incremental branch and bound against the full-recompute search ------------------
 
 
+def _reference_tree_range(node, box):
+    """(min leaf, max leaf, ambiguous features) reachable under box."""
+    tag = node[0]
+    if tag == "leaf":
+        return node[1], node[1], None
+    if tag == "ord":
+        _, fid, p, yes, no = node
+        a, b = box[fid]
+        if b <= p:
+            return _reference_tree_range(yes, box)
+        if a > p:
+            return _reference_tree_range(no, box)
+    else:
+        _, fid, idx, yes, no = node
+        allowed = box[fid]
+        if allowed <= idx:
+            return _reference_tree_range(yes, box)
+        if allowed.isdisjoint(idx):
+            return _reference_tree_range(no, box)
+    lo_y, hi_y, amb_y = _reference_tree_range(yes, box)
+    lo_n, hi_n, amb_n = _reference_tree_range(no, box)
+    amb = {fid}
+    if amb_y:
+        amb |= amb_y
+    if amb_n:
+        amb |= amb_n
+    return min(lo_y, lo_n), max(hi_y, hi_n), amb
+
+
 def _reference_analyze(obj, box):
     gaps = {}
     pos_acc = obj.pos_base
     for root in obj.pos_trees:
-        lo, hi, amb = oracle._tree_range(root, box)
+        lo, hi, amb = _reference_tree_range(root, box)
         pos_acc = pos_acc + hi
         if amb:
             for fid in amb:
                 gaps[fid] = gaps.get(fid, 0.0) + (hi - lo)
     neg_acc = obj.neg_base
     for root in obj.neg_trees:
-        lo, hi, amb = oracle._tree_range(root, box)
+        lo, hi, amb = _reference_tree_range(root, box)
         neg_acc = neg_acc + lo
         if amb:
             for fid in amb:
@@ -498,8 +527,29 @@ def _reference_first_ambiguous_test(obj, box, fid):
     raise AssertionError("no ambiguous test found for branch feature")
 
 
+def _reference_split_box(box, fid, test):
+    if test[0] == "ord":
+        a, b = box[fid]
+        p = test[1]
+        lo_box = list(box)
+        hi_box = list(box)
+        lo_box[fid] = (a, p)
+        hi_box[fid] = (p + 1, b)
+        return tuple(lo_box), tuple(hi_box)
+    allowed = box[fid]
+    in_box = list(box)
+    out_box = list(box)
+    in_box[fid] = allowed & test[1]
+    out_box[fid] = allowed - test[1]
+    return tuple(in_box), tuple(out_box)
+
+
 def _reference_maximize(obj, box, fail_below=None, strict=False, pops=None):
-    """The search before per-tree range reuse: every node re-walks every tree."""
+    """The search before per-tree range reuse: every node re-walks every tree.
+
+    It shares no code with ``oracle``: the tree walk, the branching test and
+    the split are frozen copies of the set-based originals.
+    """
     bound, gaps = _reference_analyze(obj, box)
     heap = [(-bound, 0, box, gaps)]
     seq = 1
@@ -513,7 +563,7 @@ def _reference_maximize(obj, box, fail_below=None, strict=False, pops=None):
         if not gaps:
             return bound, cur
         fid = max(gaps, key=lambda f: (gaps[f], -f))
-        children = oracle._split_box(cur, fid, _reference_first_ambiguous_test(obj, cur, fid))
+        children = _reference_split_box(cur, fid, _reference_first_ambiguous_test(obj, cur, fid))
         for child in children:
             cbound, cgaps = _reference_analyze(obj, child)
             heapq.heappush(heap, (-cbound, seq, child, cgaps))
@@ -573,13 +623,17 @@ def test_incremental_search_walks_fewer_trees_on_interop(monkeypatch, interop):
     model, v = interop[0], interop[1][1]
     c = evaluate(model, v).class_id
     calls = [0]
-    tree_range = oracle._tree_range
 
-    def counting(node, box):
-        calls[0] += 1
-        return tree_range(node, box)
+    def counting(tree_range):
+        def walk(node, box):
+            calls[0] += 1
+            return tree_range(node, box)
 
-    monkeypatch.setattr(oracle, "_tree_range", counting)
+        return walk
+
+    # each walk recurses through its module's global name, so every node visit counts
+    monkeypatch.setattr(oracle, "_tree_range", counting(oracle._tree_range))
+    monkeypatch.setitem(globals(), "_reference_tree_range", counting(_reference_tree_range))
     witness = find_counterexample(model, v, c, range(model.space.m))
     incremental = calls[0]
     calls[0] = 0
