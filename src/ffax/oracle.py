@@ -11,18 +11,22 @@ the first such box is a global optimum.
 
 Branching picks the free feature with the largest total bound gap (sum of
 hi-lo over trees whose path is ambiguous because of it) and splits its current
-sub-domain at the first ambiguous test on that feature, in tree order.
+sub-domain at the first ambiguous test on that feature, in tree order, then in
+preorder with the yes branch first.
 
 The search is incremental: each heap entry carries its box's per-tree
-``(lo, hi, ambiguous features)`` ranges, and a child box re-walks only the
-trees whose parent range lists the split feature as ambiguous; every other
-tree keeps its parent's range object. The reuse is exact. If no reachable test
-of a tree on ``fid`` is ambiguous, each of them sends the whole of ``fid``'s
-sub-domain one way, and so does any narrowing of it; the tree's reachable
-leaves, hence its range and ambiguous set, are those of the parent. For the
-same reason only those trees can hold the first ambiguous test on ``fid``.
-Bounds and gaps are still summed over all trees in tree-index order, so they
-are bit-identical to a full re-walk, and so are the pops and the result.
+``(lo, hi, first splits)`` ranges, where the map sends each feature with a
+reachable ambiguous test to the first such test node in the tree's preorder.
+A child box re-walks only the trees whose parent range maps the split feature;
+every other tree keeps its parent's range object. The reuse is exact. If no
+reachable test of a tree on ``fid`` is ambiguous, each of them sends the whole
+of ``fid``'s sub-domain one way, and so does any narrowing of it; the tree
+reaches the same nodes in the child box, each ambiguous or not as before, so
+its leaves, range and first splits are those of the parent. For the same
+reason only the re-walked trees can hold the first ambiguous test on ``fid``,
+and the first of them in tree order names it. Bounds and gaps are still summed
+over all trees in tree-index order, so they are bit-identical to a full
+re-walk, and so are the pops and the result.
 
 A witness is materialized from the first determined box that reaches the
 flip: every feature whose instance cell lies in the box's domain keeps the
@@ -104,11 +108,18 @@ class _Objective:
         self.neg_base = model.base_score[neg] if neg is not None else 0.0
 
 
+_NO_SPLITS: dict = {}  # a leaf's first splits; shared, never mutated
+
+
 def _tree_range(node, box):
-    """(min leaf, max leaf, ambiguous feature -> seen) reachable under box."""
+    """(min leaf, max leaf, first splits) reachable under box.
+
+    The map sends each feature with a reachable ambiguous test to the first
+    such node in preorder, yes branch before no.
+    """
     tag = node[0]
     if tag == "leaf":
-        return node[1], node[1], None
+        return node[1], node[1], _NO_SPLITS
     if tag == "ord":
         _, fid, p, yes, no = node
         a, b = box[fid]
@@ -123,14 +134,9 @@ def _tree_range(node, box):
             return _tree_range(yes, box)
         if allowed.isdisjoint(idx):
             return _tree_range(no, box)
-    lo_y, hi_y, amb_y = _tree_range(yes, box)
-    lo_n, hi_n, amb_n = _tree_range(no, box)
-    amb = {fid}
-    if amb_y:
-        amb |= amb_y
-    if amb_n:
-        amb |= amb_n
-    return min(lo_y, lo_n), max(hi_y, hi_n), amb
+    lo_y, hi_y, first_y = _tree_range(yes, box)
+    lo_n, hi_n, first_n = _tree_range(no, box)
+    return min(lo_y, lo_n), max(hi_y, hi_n), {**first_n, **first_y, fid: node}
 
 
 def _bound(obj: _Objective, ranges) -> float:
@@ -154,63 +160,25 @@ def _bound(obj: _Objective, ranges) -> float:
 def _gaps(ranges) -> dict[int, float]:
     """Per ambiguous feature, the summed hi - lo of the trees it leaves open."""
     gaps: dict[int, float] = {}
-    for lo, hi, amb in ranges:
-        if amb:
-            for fid in amb:
-                gaps[fid] = gaps.get(fid, 0.0) + (hi - lo)
+    for lo, hi, first in ranges:
+        for fid in first:
+            gaps[fid] = gaps.get(fid, 0.0) + (hi - lo)
     return gaps
 
 
-def _first_ambiguous_test(obj: _Objective, box, fid: int, touched):
-    """First reachable ambiguous test on ``fid`` in tree order, preorder.
-
-    Only the trees ``touched`` (ascending indices into ``obj.trees``) can
-    hold one, so only they are scanned.
-    """
-    for t in touched:
-        stack = [obj.trees[t]]
-        while stack:
-            node = stack.pop()
-            tag = node[0]
-            if tag == "leaf":
-                continue
-            if tag == "ord":
-                _, nfid, p, yes, no = node
-                a, b = box[nfid]
-                yes_ok, no_ok = a <= p, b > p
-                if nfid == fid and yes_ok and no_ok:
-                    return ("ord", p)
-            else:
-                _, nfid, idx, yes, no = node
-                allowed = box[nfid]
-                inter = allowed & idx
-                yes_ok, no_ok = bool(inter), not allowed <= idx
-                if nfid == fid and yes_ok and no_ok:
-                    return ("set", idx)
-            if no_ok:
-                stack.append(no)
-            if yes_ok:
-                stack.append(yes)
-    raise AssertionError("no ambiguous test found for branch feature")
-
-
-def _split_box(box, fid: int, test):
-    if test[0] == "ord":
+def _split_box(box, node):
+    """``box`` cut at the compiled test ``node``: the yes side, then the no side."""
+    tag, fid, cut = node[:3]
+    yes_box = list(box)
+    no_box = list(box)
+    if tag == "ord":
         a, b = box[fid]
-        p = test[1]
-        lo_box = list(box)
-        hi_box = list(box)
-        lo_box[fid] = (a, p)
-        hi_box[fid] = (p + 1, b)
-        return tuple(lo_box), tuple(hi_box)
-    allowed = box[fid]
-    inside = allowed & test[1]
-    outside = allowed - test[1]
-    in_box = list(box)
-    out_box = list(box)
-    in_box[fid] = inside
-    out_box[fid] = outside
-    return tuple(in_box), tuple(out_box)
+        yes_box[fid] = (a, cut)
+        no_box[fid] = (cut + 1, b)
+    else:
+        yes_box[fid] = box[fid] & cut
+        no_box[fid] = box[fid] - cut
+    return tuple(yes_box), tuple(no_box)
 
 
 def _maximize(obj: _Objective, box, fail_below: float | None = None, strict: bool = False):
@@ -221,7 +189,8 @@ def _maximize(obj: _Objective, box, fail_below: float | None = None, strict: boo
     is unreachable; return the first witness box otherwise.
 
     A heap entry carries its box's per-tree ranges; a child re-walks only the
-    trees whose parent range is ambiguous on the split feature.
+    trees whose parent range maps the split feature, and the first of them
+    gives the split.
     """
     ranges = [_tree_range(root, box) for root in obj.trees]
     heap = [(-_bound(obj, ranges), 0, box, ranges)]
@@ -235,8 +204,8 @@ def _maximize(obj: _Objective, box, fail_below: float | None = None, strict: boo
         if not gaps:
             return bound, cur
         fid = max(gaps, key=lambda f: (gaps[f], -f))
-        touched = [t for t, r in enumerate(ranges) if r[2] and fid in r[2]]
-        for child in _split_box(cur, fid, _first_ambiguous_test(obj, cur, fid, touched)):
+        touched = [t for t, r in enumerate(ranges) if fid in r[2]]
+        for child in _split_box(cur, ranges[touched[0]][2][fid]):
             cranges = ranges.copy()
             for t in touched:
                 cranges[t] = _tree_range(obj.trees[t], child)
