@@ -230,12 +230,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_attribute(args: argparse.Namespace) -> int:
+    if args.grid is not None and args.matrix_out is None:
+        raise ParseError("--grid needs --matrix-out")
     space, per_row = _run_rows(args, _attribute_row)
     entries = [entry for row_entries in per_row for entry in row_entries]
+    if args.grid is not None and not entries:
+        raise ParseError("no row was selected, so there is no vector to lay out", "--grid")
     _emit(formats.write_attribution_doc(space, entries), args.output)
     if args.grid is not None:
-        if args.matrix_out is None:
-            raise ParseError("--grid needs --matrix-out")
         rows_n, cols_n = args.grid
         first = entries[0]["vector"]
         with open(args.matrix_out, "w", encoding="utf-8") as handle:

@@ -17,6 +17,7 @@ unless an explicit scan order is given), which makes reports reproducible
 and gives growing budgets prefix-compatible results.
 """
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -58,6 +59,9 @@ class Budget:
 
     def __post_init__(self):
         limits = (self.seconds, self.max_axps, self.max_cxps, self.max_oracle_calls)
+        for limit in limits:
+            if limit is not None and not 0 <= limit < math.inf:
+                raise ContractError(f"budget limits must be finite and >= 0, got {limit}")
         if self.unbounded and any(l is not None for l in limits):
             raise ContractError("an unbounded budget cannot carry limits")
         if not self.unbounded and all(l is None for l in limits):
@@ -240,12 +244,17 @@ def _exact_hs(rows: list[int], forbidden: int, blocks_with: list[list[int]]) -> 
 # --- single-explanation extraction ---------------------------------------------
 
 
-def _scan_order(seed: Iterable[int], order: Sequence[int] | None) -> list[int]:
+def _check_order(order: Sequence[int] | None, m: int) -> None:
+    if order is not None and (len(order) != m or set(order) != set(range(m))):
+        raise ContractError(f"scan order must be a permutation of the feature ids 0..{m - 1}")
+
+
+def _scan_order(seed: Iterable[int], order: Sequence[int] | None, m: int) -> list[int]:
+    """The features of ``seed`` in ``order``, a permutation of all ``m`` feature ids."""
     seed = set(seed)
     if order is None:
         return sorted(seed)
-    if sorted(order) != list(range(len(order))):
-        raise ContractError("scan order must be a permutation of all feature ids")
+    _check_order(order, m)
     return [fid for fid in order if fid in seed]
 
 
@@ -311,7 +320,7 @@ def _extract(kind, model, v, c, seed, order, clock, verify_seed, moved) -> froze
         holds, moved = _holds(kind, model, v, c, current, clock, moved)
         if not holds:
             raise ContractError(_SEED_ERRORS[kind])
-    for fid in _scan_order(current, order):
+    for fid in _scan_order(current, order, model.space.m):
         trial = current - {fid}
         holds, moved = _holds(kind, model, v, c, trial, clock, moved)
         if holds:
@@ -365,6 +374,7 @@ def enumerate_explanations(
     """
     if mode not in ("cxp-first", "axp-first"):
         raise ContractError(f"unknown mode {mode!r}")
+    _check_order(order, model.space.m)
     predicted = evaluate(model, v).class_id
     if c is None:
         c = predicted

@@ -67,6 +67,13 @@ def schema_text(name: str) -> str:
     return resources.files("ffax.schemas").joinpath(f"{name}.schema.json").read_text()
 
 
+def _number(value, what: str, where: str | None = None) -> float:
+    """``value`` as a float; a JSON number is the only thing accepted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{what} must be a number, got {value!r}", where)
+    return float(value)
+
+
 # --- feature space ------------------------------------------------------------
 
 
@@ -75,11 +82,13 @@ def parse_feature_space(text: str) -> FeatureSpace:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"feature space is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "features" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("features"), list):
         raise ParseError("feature space document needs a top-level 'features' list")
     specs = []
     for fid, item in enumerate(doc["features"]):
         where = f"features[{fid}]"
+        if not isinstance(item, dict):
+            raise ParseError("feature entry must be an object", where)
         name = item.get("name")
         kind = item.get("kind")
         if not isinstance(name, str):
@@ -92,7 +101,7 @@ def parse_feature_space(text: str) -> FeatureSpace:
         elif kind == ORDINAL:
             if "lo" not in item or "hi" not in item:
                 raise ParseError(f"ordinal {name!r} needs 'lo' and 'hi'", where)
-            lo, hi = float(item["lo"]), float(item["hi"])
+            lo, hi = _number(item["lo"], "'lo'", where), _number(item["hi"], "'hi'", where)
             if lo > hi:
                 raise ParseError(f"ordinal {name!r} has lo > hi", where)
             spec = FeatureSpec(fid=fid, name=name, kind=kind, lo=lo, hi=hi)
@@ -172,9 +181,7 @@ def _parse_dump_node(node, space: FeatureSpace, where: str) -> Node:
     if not isinstance(node, dict):
         raise ParseError("node must be an object", where)
     if "leaf" in node:
-        if not isinstance(node["leaf"], (int, float)):
-            raise ParseError("leaf weight must be a number", where)
-        return Leaf(weight=float(node["leaf"]))
+        return Leaf(weight=_number(node["leaf"], "leaf weight", where))
     for key in ("split", "yes", "no"):
         if key not in node:
             raise ParseError(f"split node lacks {key!r}", where)
@@ -239,7 +246,7 @@ def _parse_canonical_node(node, space: FeatureSpace, where: str) -> Node:
     if not isinstance(node, dict):
         raise ParseError("node must be an object", where)
     if "leaf" in node:
-        return Leaf(weight=float(node["leaf"]))
+        return Leaf(weight=_number(node["leaf"], "leaf weight", where))
     test = node.get("test")
     fid = _resolve_fid(space, node.get("feature"), where)
     spec = space[fid]
@@ -248,7 +255,8 @@ def _parse_canonical_node(node, space: FeatureSpace, where: str) -> Node:
     if test == "le":
         if spec.kind != ORDINAL:
             raise ParseError(f"'le' test on non-ordinal feature {spec.name!r}", where)
-        return ThresholdSplit(fid=fid, threshold=float(node["threshold"]), yes=yes, no=no)
+        threshold = _number(node.get("threshold"), "'le' threshold", where)
+        return ThresholdSplit(fid=fid, threshold=threshold, yes=yes, no=no)
     if test == "in":
         if spec.kind != CATEGORICAL:
             raise ParseError(f"'in' test on non-categorical feature {spec.name!r}", where)
@@ -271,11 +279,13 @@ def _parse_canonical_model(doc: dict, space: FeatureSpace) -> TreeEnsemble:
     if not isinstance(classes, list) or len(classes) < 2:
         raise ParseError("canonical model needs a 'classes' list of >= 2 names")
     raw_trees = doc.get("trees")
-    if not raw_trees:
+    if not raw_trees or not isinstance(raw_trees, list):
         raise ParseError("no trees in model document")
     trees = []
     for t, item in enumerate(raw_trees):
         where = f"tree {t}"
+        if not isinstance(item, dict):
+            raise ParseError("tree entry must be an object", where)
         class_id = item.get("class")
         if not isinstance(class_id, int) or not 0 <= class_id < len(classes):
             raise ParseError(f"bad class tag {class_id!r}", where)
@@ -283,11 +293,13 @@ def _parse_canonical_model(doc: dict, space: FeatureSpace) -> TreeEnsemble:
             Tree(class_id=class_id, root=_parse_canonical_node(item.get("root"), space, where))
         )
     base = doc.get("base_score") or [0.0] * len(classes)
+    if not isinstance(base, list):
+        raise ParseError("must be a list of numbers", "base_score")
     return TreeEnsemble(
         space=space,
         class_names=tuple(classes),
         trees=tuple(trees),
-        base_score=tuple(float(b) for b in base),
+        base_score=tuple(_number(b, f"entry {i}", "base_score") for i, b in enumerate(base)),
     )
 
 
@@ -515,8 +527,18 @@ def read_enumeration_report(text: str) -> LoadedReport:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"report is not valid JSON: {exc}") from None
-    if doc.get("format") != "enumeration-report/1":
+    if not isinstance(doc, dict) or doc.get("format") != "enumeration-report/1":
         raise ParseError("not an enumeration report document")
+    for key in ("class_id", "mode", "complete", "instance", "axps", "cxps", "oracle_calls"):
+        if key not in doc:
+            raise ParseError(f"report lacks {key!r}")
+    if not isinstance(doc["class_id"], int) or isinstance(doc["class_id"], bool):
+        raise ParseError(f"must be an integer, got {doc['class_id']!r}", "report class_id")
+    if not isinstance(doc["instance"], dict) or not isinstance(doc["instance"].get("values"), list):
+        raise ParseError("needs a 'values' list", "report instance")
+    for key in ("axps", "cxps"):
+        if not isinstance(doc[key], list) or not all(isinstance(s, list) for s in doc[key]):
+            raise ParseError("must be a list of feature-id lists", f"report {key}")
     return LoadedReport(
         class_id=doc["class_id"],
         class_name=doc.get("class_name"),
@@ -568,10 +590,15 @@ def read_attribution_doc(text: str) -> list[dict]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"attribution document is not valid JSON: {exc}") from None
-    if doc.get("format") != "attribution/1":
+    if not isinstance(doc, dict) or doc.get("format") != "attribution/1":
         raise ParseError("not an attribution document")
+    for key in ("features", "entries"):
+        if not isinstance(doc.get(key), list):
+            raise ParseError(f"attribution document needs a list under {key!r}")
     out = []
-    for item in doc["entries"]:
+    for i, item in enumerate(doc["entries"]):
+        if not isinstance(item, dict) or "values" not in item or "source" not in item:
+            raise ParseError("entry needs 'values' and 'source'", f"entries[{i}]")
         out.append(
             {
                 "row": item.get("row"),
@@ -625,6 +652,6 @@ def read_comparison_doc(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"comparison document is not valid JSON: {exc}") from None
-    if doc.get("format") != "comparison/1":
+    if not isinstance(doc, dict) or doc.get("format") != "comparison/1":
         raise ParseError("not a comparison document")
     return doc

@@ -168,7 +168,7 @@ def _gaps(ranges) -> dict[int, float]:
 
 def _split_box(box, node):
     """``box`` cut at the compiled test ``node``: the yes side, then the no side."""
-    tag, fid, cut = node[:3]
+    tag, fid, cut, _, _ = node
     yes_box = list(box)
     no_box = list(box)
     if tag == "ord":

@@ -385,3 +385,63 @@ def test_importing_the_cli_loads_no_process_pool():
     code = "import sys, ffax.cli; print('concurrent.futures.process' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (done.returncode, done.stdout.strip()) == (0, "False"), done.stderr
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    # a permutation of 0..1 only: features 2-5 would never be scanned
+    ("explain", "--order", "0,1", "scan order must be a permutation of the feature ids 0..5"),
+    ("enumerate", "--order", "0,1", "scan order must be a permutation of the feature ids 0..5"),
+    ("enumerate", "--seconds", "nan", "budget limits must be finite and >= 0, got nan"),
+    ("enumerate", "--max-axps", "-2", "budget limits must be finite and >= 0, got -2"),
+])
+def test_out_of_range_flag_value_exits_2(command, flag, value, message, capsys):
+    assert main(adult_args(command, "--rows", "0", flag, value)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+_SPACE = {"features": [{"name": "a", "kind": "ordinal", "lo": 0, "hi": 1}, {"name": "b", "kind": "boolean"}]}
+_LEAF = {"leaf": 1.0}
+_MODEL = {"classes": ["f", "t"], "trees": [{"class": 1, "root": _LEAF}]}
+
+
+def _root(**node):
+    return {**_MODEL, "trees": [{"class": 1, "root": node}]}
+
+
+_REPORT = {
+    "format": "enumeration-report/1", "mode": "cxp-first", "complete": True,
+    "instance": {"values": [0.5, False]}, "axps": [[]], "cxps": [], "oracle_calls": 1,
+}
+
+
+@pytest.mark.parametrize("command, docs, extra, where", [
+    ("explain", {"space.json": {"features": [1]}}, [], "features[0]"),
+    ("explain", {"space.json": {"features": [{**_SPACE["features"][0], "lo": "x"}]}}, [], "features[0]"),
+    ("explain", {"model.json": _root(feature="a", test="le", yes=_LEAF, no=_LEAF)}, [], "tree 0"),
+    ("explain", {"model.json": _root(feature="a", test="le", threshold="x", yes=_LEAF, no=_LEAF)},
+     [], "tree 0"),
+    ("explain", {"model.json": _root(leaf="x")}, [], "tree 0"),
+    ("explain", {"model.json": {**_MODEL, "base_score": ["x", 0]}}, [], "base_score"),
+    ("verify", {"report.json": _REPORT}, ["--report", "report.json"], "class_id"),
+    ("verify", {"report.json": [_REPORT]}, ["--report", "report.json"], "report"),
+    ("compare", {"ref.json": {"format": "attribution/1", "features": ["a", "b"]}},
+     ["--reference", "ref.json"], "entries"),
+    ("attribute", {}, ["--rows", "5-3", "--grid", "2x1", "--matrix-out", "m.txt"], "--grid"),
+], ids=[
+    "space-entry-not-object", "space-lo-not-number", "le-without-threshold",
+    "threshold-not-number", "leaf-not-number", "base-score-not-number",
+    "report-without-class-id", "report-is-array", "reference-without-entries",
+    "grid-over-no-rows",
+])
+def test_malformed_document_exits_2(tmp_path, monkeypatch, capsys, command, docs, extra, where):
+    monkeypatch.chdir(tmp_path)
+    for name, doc in {"space.json": _SPACE, "model.json": _MODEL, **docs}.items():
+        Path(name).write_text(json.dumps(doc))
+    Path("rows.csv").write_text("a,b\n0.5,0\n")
+    if command == "compare":
+        argv = [command, "--space", "space.json", *extra]
+    else:
+        argv = [command, "--model", "model.json", "--space", "space.json", "--instances", "rows.csv", *extra]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and where in err, err

@@ -70,6 +70,15 @@ def test_extract_axp_respects_scan_order(adult_model, adult_instance):
     assert axp == frozenset({0, 1})
 
 
+@pytest.mark.parametrize("order", [(0, 1), (1, 0, 2, 3, 4, 5, 6), (0, 0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 6)])
+def test_scan_order_must_permute_every_feature(adult_model, adult_instance, order):
+    # a permutation of only 0..1 would leave features 2-5 unscanned and the result non-minimal
+    with pytest.raises(ContractError, match="permutation of the feature ids 0..5"):
+        extract_axp(adult_model, adult_instance, 0, seed=range(6), order=order)
+    with pytest.raises(ContractError, match="permutation of the feature ids 0..5"):
+        enumerate_explanations(adult_model, adult_instance, order=order)
+
+
 def test_extract_axp_nothing_droppable():
     model = conjunction_model()
     axp = extract_axp(model, Instance((True, True)), 1, seed={0, 1})
@@ -454,6 +463,16 @@ def test_budget_invariants():
     with pytest.raises(ContractError):
         Budget(seconds=1.0, unbounded=True)
     assert Budget.unlimited().unbounded
+    assert Budget(seconds=0.0, max_axps=0).seconds == 0.0
+
+
+@pytest.mark.parametrize("limits", [
+    {"seconds": float("nan")}, {"seconds": float("inf")}, {"seconds": -1.0},
+    {"max_axps": -2}, {"max_cxps": -1}, {"max_oracle_calls": -5},
+])
+def test_budget_rejects_non_finite_or_negative_limits(limits):
+    with pytest.raises(ContractError, match="finite and >= 0"):
+        Budget(**limits)
 
 
 def test_budget_max_axps(adult_model, adult_instance):
