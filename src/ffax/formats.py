@@ -187,7 +187,10 @@ def _parse_dump_node(node, space: FeatureSpace, where: str) -> Node:
             raise ParseError(f"split node lacks {key!r}", where)
     fid = _resolve_fid(space, node["split"], where)
     spec = space[fid]
-    children = {child.get("nodeid"): child for child in node.get("children", [])}
+    children = node.get("children", [])
+    if not isinstance(children, list) or not all(isinstance(child, dict) for child in children):
+        raise ParseError("'children' must be a list of node objects", where)
+    children = {child.get("nodeid"): child for child in children}
 
     def child(which: str) -> Node:
         cid = node[which]
@@ -261,7 +264,7 @@ def _parse_canonical_node(node, space: FeatureSpace, where: str) -> Node:
         if spec.kind != CATEGORICAL:
             raise ParseError(f"'in' test on non-categorical feature {spec.name!r}", where)
         values = node.get("values")
-        if not values:
+        if not values or not isinstance(values, list):
             raise ParseError("'in' test needs a non-empty values list", where)
         for v in values:
             if v not in spec.values:

@@ -422,6 +422,11 @@ _REPORT = {
      [], "tree 0"),
     ("explain", {"model.json": _root(leaf="x")}, [], "tree 0"),
     ("explain", {"model.json": {**_MODEL, "base_score": ["x", 0]}}, [], "base_score"),
+    ("explain", {"space.json": {"features": [{"name": "a", "kind": "categorical", "values": ["x"]}]},
+                 "model.json": _root(feature="a", test="in", values=3, yes=_LEAF, no=_LEAF)},
+     [], "tree 0"),
+    ("explain", {"model.json": [{"split": "a", "yes": 1, "no": 2, "split_condition": 0.5, "children": [1, 2]}]},
+     [], "tree 0"),
     ("verify", {"report.json": _REPORT}, ["--report", "report.json"], "class_id"),
     ("verify", {"report.json": [_REPORT]}, ["--report", "report.json"], "report"),
     ("compare", {"ref.json": {"format": "attribution/1", "features": ["a", "b"]}},
@@ -430,6 +435,7 @@ _REPORT = {
 ], ids=[
     "space-entry-not-object", "space-lo-not-number", "le-without-threshold",
     "threshold-not-number", "leaf-not-number", "base-score-not-number",
+    "in-values-not-list", "dump-children-not-objects",
     "report-without-class-id", "report-is-array", "reference-without-entries",
     "grid-over-no-rows",
 ])
