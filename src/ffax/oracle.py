@@ -136,7 +136,9 @@ def _tree_range(node, box):
             return _tree_range(no, box)
     lo_y, hi_y, first_y = _tree_range(yes, box)
     lo_n, hi_n, first_n = _tree_range(no, box)
-    return min(lo_y, lo_n), max(hi_y, hi_n), {**first_n, **first_y, fid: node}
+    first = first_n | first_y  # a yes-side split comes before a no-side one
+    first[fid] = node  # and this node before both
+    return min(lo_y, lo_n), max(hi_y, hi_n), first
 
 
 def _bound(obj: _Objective, ranges) -> float:
