@@ -35,6 +35,7 @@ from .model import (
 )
 
 GRID_CAP = 10**7
+_TRUE_CELL = frozenset((1,))  # a boolean test's yes cell (index 1 is True), shared
 
 # Compiled node forms: ("leaf", w) | ("ord", fid, p, yes, no) with yes iff
 # cell <= p | ("set", fid, idxset, yes, no) with yes iff value index in idxset.
@@ -155,7 +156,7 @@ class CellSystem:
             if len(idx) == self.sizes[node.fid]:
                 return yes
             return ("set", node.fid, idx, yes, no)
-        return ("set", node.fid, frozenset((1,)), yes, no)  # boolean: index 1 is True
+        return ("set", node.fid, _TRUE_CELL, yes, no)
 
 
 def _collect_thresholds(node, acc: dict[int, set[float]]) -> None:

@@ -46,8 +46,8 @@ from .errors import (
     ParseError,
     UndefinedAttributionError,
 )
-from .model import Instance, TreeEnsemble, evaluate
-from .oracle import PartialAssignment, decide_sufficiency, score_bounds
+from .model import Instance, evaluate
+from .oracle import PartialAssignment, score_bounds
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -116,24 +116,18 @@ def _format_assignment(space, v: Instance, features) -> str:
 
 def _certified_bound(model, v: Instance, c: int, subset: frozenset[int]) -> str:
     """Human-readable proof obligation the explanation satisfies."""
-    if isinstance(model, TreeEnsemble):
-        pa = PartialAssignment(instance=v, fixed=subset)
-        if model.single_score:
-            bounds = score_bounds(model, pa)
-            if c == 0:
-                return f"max attainable score {bounds.hi:.6g} < 0"
-            return f"min attainable score {bounds.lo:.6g} >= 0"
-        worst = max(
-            score_bounds(model, pa, pair=(rival, c)).hi
-            for rival in range(model.k)
-            if rival != c
-        )
-        return f"max rival margin {worst:.6g} cannot overtake class {c}"
-    # linear: the adversarial completion's score proves the claim
-    worst = decide_sufficiency(model, v, c, subset).bound
-    if c == 1:
-        return f"min attainable score {worst:.6g} >= 0"
-    return f"max attainable score {worst:.6g} < 0"
+    pa = PartialAssignment(instance=v, fixed=subset)
+    if model.single_score:
+        bounds = score_bounds(model, pa)
+        if c == 0:
+            return f"max attainable score {bounds.hi:.6g} < 0"
+        return f"min attainable score {bounds.lo:.6g} >= 0"
+    worst = max(
+        score_bounds(model, pa, pair=(rival, c)).hi
+        for rival in range(model.k)
+        if rival != c
+    )
+    return f"max rival margin {worst:.6g} cannot overtake class {c}"
 
 
 # --- per-row work (top-level functions so worker processes can pickle them) ----
@@ -188,6 +182,41 @@ def _attribute_row(args: argparse.Namespace, model, row: int, v: Instance) -> li
     return entries
 
 
+def _verify_row(loaded, args: argparse.Namespace, model, row: int, v: Instance):
+    """The row's verdict lines and failure count; checks ``loaded`` when it is a report."""
+    c = evaluate(model, v).class_id
+    if loaded is not None:
+        if loaded.instance_values != v.values:
+            raise DataMismatchError(f"row {row}: the report explains a different instance")
+        if loaded.class_id != c:
+            raise DataMismatchError(
+                f"row {row}: the report explains class {loaded.class_id}, the row predicts {c}"
+            )
+        axps, cxps = loaded.axps, loaded.cxps
+    else:
+        report = enumerate_explanations(model, v, mode=args.mode, order=args.order)
+        axps, cxps = report.axp_sets(), report.cxp_sets()
+    ref_axps, ref_cxps = brute_force_all_xps(model, v, c)
+    violation = check_duality(axps, cxps)
+    duality = ""
+    if violation is not None:
+        duality = f"{violation.side} {sorted(violation.offender)} {violation.reason}"
+        if violation.counterpart is not None:
+            duality += f" {sorted(violation.counterpart)}"
+    checks = (
+        ("axp sets match exhaustive search", set(axps) == set(ref_axps),
+         f"got {sorted(map(sorted, axps))}, expected {sorted(map(sorted, ref_axps))}"),
+        ("cxp sets match exhaustive search", set(cxps) == set(ref_cxps),
+         f"got {sorted(map(sorted, cxps))}, expected {sorted(map(sorted, ref_cxps))}"),
+        ("hitting-set duality", violation is None, duality),
+    )
+    lines = []
+    for name, ok, detail in checks:
+        status = "PASS" if ok else "FAIL" + (f" ({detail})" if detail else "")
+        lines.append(f"row {row}: {name}: {status}")
+    return lines, sum(not ok for _, ok, _ in checks)
+
+
 def _run_rows(args: argparse.Namespace, worker):
     """Parse the inputs once, then run ``worker`` on every selected row.
 
@@ -234,8 +263,6 @@ def cmd_attribute(args: argparse.Namespace) -> int:
         raise ParseError("--grid needs --matrix-out")
     space, per_row = _run_rows(args, _attribute_row)
     entries = [entry for row_entries in per_row for entry in row_entries]
-    if args.grid is not None and not entries:
-        raise ParseError("no row was selected, so there is no vector to lay out", "--grid")
     _emit(formats.write_attribution_doc(space, entries), args.output)
     if args.grid is not None:
         rows_n, cols_n = args.grid
@@ -282,61 +309,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _, model, instances, rows = _load_inputs(args)
     loaded = None
     if args.report is not None:
         loaded = formats.read_enumeration_report(_read(args.report))
-    failures = 0
-    lines = []
-    for row in rows:
-        v = instances[row]
-        c = evaluate(model, v).class_id
-        if loaded is not None:
-            if loaded.instance_values != v.values:
-                raise DataMismatchError(f"row {row}: the report explains a different instance")
-            if loaded.class_id != c:
-                raise DataMismatchError(
-                    f"row {row}: the report explains class {loaded.class_id}, the row predicts {c}"
-                )
-            axps, cxps = loaded.axps, loaded.cxps
-        else:
-            report = enumerate_explanations(model, v, mode=args.mode, order=args.order)
-            axps, cxps = report.axp_sets(), report.cxp_sets()
-        ref_axps, ref_cxps = brute_force_all_xps(model, v, c)
-
-        def verdict(name: str, ok: bool, detail: str = "") -> None:
-            nonlocal failures
-            status = "PASS" if ok else "FAIL"
-            suffix = f" ({detail})" if detail and not ok else ""
-            lines.append(f"row {row}: {name}: {status}{suffix}")
-            if not ok:
-                failures += 1
-
-        verdict(
-            "axp sets match exhaustive search",
-            set(axps) == set(ref_axps),
-            f"got {sorted(map(sorted, axps))}, expected {sorted(map(sorted, ref_axps))}",
-        )
-        verdict(
-            "cxp sets match exhaustive search",
-            set(cxps) == set(ref_cxps),
-            f"got {sorted(map(sorted, cxps))}, expected {sorted(map(sorted, ref_cxps))}",
-        )
-        violation = check_duality(axps, cxps)
-        verdict(
-            "hitting-set duality",
-            violation is None,
-            "" if violation is None else (
-                f"{violation.side} {sorted(violation.offender)} {violation.reason}"
-                + (
-                    f" {sorted(violation.counterpart)}"
-                    if violation.counterpart is not None
-                    else ""
-                )
-            ),
-        )
-    _emit("\n".join(lines), args.output)
-    return EXIT_OK if failures == 0 else 1
+    _, per_row = _run_rows(args, partial(_verify_row, loaded))
+    _emit("\n".join(line for lines, _ in per_row for line in lines), args.output)
+    return EXIT_OK if sum(failures for _, failures in per_row) == 0 else 1
 
 
 # --- argument parsing --------------------------------------------------------------
@@ -364,10 +342,14 @@ def _rows(text: str) -> tuple[int, ...]:
         for part in text.split(","):
             part = part.strip()
             if "-" in part:
-                lo, hi = part.split("-", 1)
-                rows.extend(range(int(lo), int(hi) + 1))
+                lo, hi = (int(end) for end in part.split("-", 1))
+                if hi < lo:
+                    raise ValueError("reversed range")
+                rows.extend(range(lo, hi + 1))
             elif part:
                 rows.append(int(part))
+        if not rows:
+            raise ValueError("no row")
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a row selector like 0,2-4, got {text!r}") from None
     return tuple(rows)

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .cells import GRID_CAP, class_grid, grid_size
+from .cells import class_grid
 from .errors import CapacityError, ContractError
 from .model import Instance, Model, TreeEnsemble, evaluate
 from .oracle import _find_counterexample_unchecked, _tree_oracle
@@ -461,11 +461,7 @@ def brute_force_all_xps(
     m = model.space.m
     if m > 20:
         raise CapacityError(f"2^{m} subsets exceed the brute-force cap (m <= 20)", size=2**m)
-    oracle = _tree_oracle(model)
-    cells = oracle.cells
-    size = grid_size(cells, range(m))
-    if size > GRID_CAP:
-        raise CapacityError(f"cell grid has {size} points (cap {GRID_CAP})", size=size)
+    cells = _tree_oracle(model).cells
     if evaluate(model, v).class_id != c:
         raise ContractError("instance is not predicted as class c")
     classes = class_grid(cells, {})

@@ -52,8 +52,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .cells import GRID_CAP, CellSystem, class_grid, grid_size
-from .errors import CapabilityError, CapacityError, ContractError
+from .cells import CellSystem, class_grid
+from .errors import CapabilityError, ContractError
 from .model import (
     BOOLEAN,
     Instance,
@@ -90,7 +90,6 @@ class ScoreBounds:
 class SufficiencyResult:
     sufficient: bool
     witness: Instance | None = None
-    bound: float | None = None  # linear models: the adversarial completion's score
 
 
 class _Objective:
@@ -216,20 +215,6 @@ def _maximize(obj: _Objective, box, fail_below: float | None = None, strict: boo
     raise AssertionError("search exhausted without a determined box")
 
 
-# --- public box construction -------------------------------------------------
-
-
-def _full_box(cells: CellSystem, fixed_cells: dict[int, int]):
-    box = []
-    for fid, size in enumerate(cells.sizes):
-        if fid in fixed_cells:
-            i = fixed_cells[fid]
-            box.append((i, i) if cells.kinds[fid] == "ordinal" else frozenset((i,)))
-        else:
-            box.append((0, size - 1) if cells.kinds[fid] == "ordinal" else frozenset(range(size)))
-    return tuple(box)
-
-
 class _TreeOracle:
     """Per-model reusable state: cell system plus compiled objectives."""
 
@@ -245,8 +230,17 @@ class _TreeOracle:
         return self._objectives[key]
 
     def box_for(self, v: Instance, fixed) -> tuple:
-        fixed_cells = {fid: self.cells.cell_of(fid, v.values[fid]) for fid in fixed}
-        return _full_box(self.cells, fixed_cells)
+        """Each fixed feature's domain is v's cell, each free one's all cells."""
+        cells = self.cells
+        box = []
+        for fid, size in enumerate(cells.sizes):
+            ordinal = cells.kinds[fid] == "ordinal"
+            if fid in fixed:
+                i = cells.cell_of(fid, v.values[fid])
+                box.append((i, i) if ordinal else frozenset((i,)))
+            else:
+                box.append((0, size - 1) if ordinal else frozenset(range(size)))
+        return tuple(box)
 
     def find_class_change(self, v: Instance, c: int, free) -> Instance | None:
         """A domain-valid x agreeing with v outside ``free`` with class != c.
@@ -299,16 +293,17 @@ def _witness_point(cells: CellSystem, v: Instance, box, wbox) -> Instance:
     return Instance(values=tuple(values))
 
 
-_ORACLE_CACHE: dict[int, _TreeOracle] = {}
+_last_oracle: _TreeOracle | None = None  # the last model's, so one compiled model at most
 
 
-def _tree_oracle(model: TreeEnsemble) -> _TreeOracle:
-    oracle = _ORACLE_CACHE.get(id(model))
-    if oracle is None or oracle.model is not model:
-        oracle = _TreeOracle(model)
-        _ORACLE_CACHE.clear()  # keep at most one compiled model around
-        _ORACLE_CACHE[id(model)] = oracle
-    return oracle
+def _tree_oracle(model: Model) -> _TreeOracle:
+    """The compiled oracle of ``model``; CapabilityError unless it is a tree ensemble."""
+    global _last_oracle
+    if _last_oracle is None or _last_oracle.model is not model:
+        if not isinstance(model, TreeEnsemble):
+            raise CapabilityError(f"tree ensembles only, not {type(model).__name__}")
+        _last_oracle = _TreeOracle(model)
+    return _last_oracle
 
 
 # --- linear models ------------------------------------------------------------
@@ -339,18 +334,20 @@ def _linear_extreme(model: LinearModel, v: Instance, fixed, want_max: bool) -> t
     return s, values
 
 
+def _linear_counterexample(model: LinearModel, v: Instance, c: int, free) -> Instance | None:
+    """Closed form: each free feature takes its adversarial endpoint."""
+    worst, point = _linear_extreme(model, v, model.space.all_features() - free, want_max=c != 1)
+    flips = worst < 0.0 if c == 1 else worst >= 0.0
+    return Instance(values=tuple(point)) if flips else None
+
+
 def decide_sufficiency_linear(
     model: LinearModel, v: Instance, c: int, subset: Iterable[int]
 ) -> SufficiencyResult:
-    """Closed-form decision: each free feature takes its adversarial endpoint."""
+    """``decide_sufficiency`` for a model that must be a LinearModel."""
     if not isinstance(model, LinearModel):
         raise CapabilityError("decide_sufficiency_linear needs a LinearModel")
-    fixed = frozenset(subset)
-    _check_predicted(model, v, c)
-    worst, point = _linear_extreme(model, v, fixed, want_max=c != 1)
-    sufficient = worst >= 0.0 if c == 1 else worst < 0.0
-    witness = None if sufficient else Instance(values=tuple(point))
-    return SufficiencyResult(sufficient=sufficient, witness=witness, bound=worst)
+    return decide_sufficiency(model, v, c, subset)
 
 
 # --- public operations ---------------------------------------------------------
@@ -392,21 +389,15 @@ def find_counterexample(
 def _find_counterexample_unchecked(
     model: Model, v: Instance, c: int, free: frozenset[int]
 ) -> Instance | None:
-    if isinstance(model, TreeEnsemble):
-        return _tree_oracle(model).find_class_change(v, c, free)
     if isinstance(model, LinearModel):
-        fixed = model.space.all_features() - free
-        result = decide_sufficiency_linear(model, v, c, fixed)
-        return result.witness
-    raise CapabilityError(f"unsupported model kind {type(model).__name__}")
+        return _linear_counterexample(model, v, c, free)
+    return _tree_oracle(model).find_class_change(v, c, free)
 
 
 def decide_sufficiency(
     model: Model, v: Instance, c: int, subset: Iterable[int]
 ) -> SufficiencyResult:
     """Does fixing ``subset`` to v's values force class c over the whole space?"""
-    if isinstance(model, LinearModel):
-        return decide_sufficiency_linear(model, v, c, _check_features(model, subset))
     _check_predicted(model, v, c)
     free = model.space.all_features() - _check_features(model, subset)
     witness = _find_counterexample_unchecked(model, v, c, free)
@@ -419,8 +410,6 @@ def score_bounds(
     model: TreeEnsemble, pa: PartialAssignment, pair: tuple[int, int] | None = None
 ) -> ScoreBounds:
     """Attained extrema of the score (or of s_plus - s_minus for ``pair``)."""
-    if not isinstance(model, TreeEnsemble):
-        raise CapabilityError("score_bounds is defined for tree ensembles")
     oracle = _tree_oracle(model)
     box = oracle.box_for(pa.instance, _check_features(model, pa.fixed))
     return oracle.score_bounds(box, pair)
@@ -434,16 +423,9 @@ def brute_force_decide(
     Exact for tree ensembles (the score is constant per cell); refuses grids
     over 10^7 points and non-tree models.
     """
-    if not isinstance(model, TreeEnsemble):
-        raise CapabilityError("brute_force_decide enumerates tree-ensemble cells only")
+    cells = _tree_oracle(model).cells
     _check_predicted(model, v, c)
     fixed = _check_features(model, subset)
-    oracle = _tree_oracle(model)
-    cells = oracle.cells
-    free = [fid for fid in range(model.space.m) if fid not in fixed]
-    size = grid_size(cells, free)
-    if size > GRID_CAP:
-        raise CapacityError(f"free-feature grid has {size} points (cap {GRID_CAP})", size=size)
     fixed_cells = {fid: cells.cell_of(fid, v.values[fid]) for fid in fixed}
     classes = class_grid(cells, fixed_cells)
     bad = classes != c

@@ -10,9 +10,7 @@ import pytest
 from conftest import FIXTURES
 import ffax
 from ffax import formats
-from ffax.cli import _certified_bound, main
-from ffax.model import FeatureSpace, FeatureSpec, Instance, LinearModel
-from ffax.oracle import decide_sufficiency
+from ffax.cli import main
 
 ADULT = FIXTURES / "adult"
 INTEROP = FIXTURES / "interop"
@@ -279,6 +277,9 @@ def test_workers_shard_rows(tmp_path):
 @pytest.mark.parametrize("command, flag, value", [
     ("explain", "--rows", "x"),
     ("explain", "--rows", "0-"),
+    ("explain", "--rows", "5-3"),
+    ("explain", "--rows", ""),
+    ("attribute", "--rows", "5-3"),
     ("explain", "--order", "a,b"),
     ("attribute", "--checkpoints", "x"),
     ("attribute", "--grid", "3"),
@@ -344,18 +345,6 @@ def test_non_finite_ordinal_bound_exits_2(constant_inputs, capsys):
     assert "not finite" in capsys.readouterr().err
 
 
-def test_certified_bound_for_linear_model():
-    space = FeatureSpace(tuple(FeatureSpec(fid, name, "ordinal", lo=0.0, hi=1.0)
-                               for fid, name in enumerate("ab")))
-    model = LinearModel(space=space, weights=(2.0, -1.0), bias=0.5)
-    # class 1 with a fixed: the worst completion sets b=1, 2 - 1 + 0.5
-    v = Instance((1.0, 0.0))
-    assert decide_sufficiency(model, v, 1, {0}).bound == 1.5
-    assert _certified_bound(model, v, 1, frozenset({0})) == "min attainable score 1.5 >= 0"
-    v = Instance((0.0, 1.0))
-    assert _certified_bound(model, v, 0, frozenset({0, 1})) == "max attainable score -0.5 < 0"
-
-
 def test_explain_parses_each_input_once(monkeypatch, capsys):
     calls = {}
     for name in ("parse_feature_space", "parse_ensemble_dump", "parse_instances"):
@@ -367,6 +356,27 @@ def test_explain_parses_each_input_once(monkeypatch, capsys):
     assert main(interop_args("explain", "--rows", "0-9")) == 0
     assert capsys.readouterr().out.count("  AXp: ") == 10
     assert calls == {"parse_feature_space": 1, "parse_ensemble_dump": 1, "parse_instances": 1}
+
+
+def test_verify_workers_output_matches_one_worker(tmp_path, capsys):
+    instances = tmp_path / "two.csv"
+    instances.write_text(
+        "Education,Status,Occupation,Relationship,Sex,Hours/w\n"
+        "Bachelors,Separated,Sales,Not-in-family,Male,40\n"
+        "Doctorate,Married,Sales,Own-child,Male,50\n"
+    )
+    outputs = []
+    for workers in ("1", "2"):
+        assert main([
+            "verify",
+            "--model", str(ADULT / "model.json"),
+            "--space", str(ADULT / "feature_space.json"),
+            "--instances", str(instances),
+            "--workers", workers,
+        ]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("PASS") == 6 and "row 1: " in outputs[0]
 
 
 def test_workers_output_matches_one_worker(capsys):
@@ -431,13 +441,11 @@ _REPORT = {
     ("verify", {"report.json": [_REPORT]}, ["--report", "report.json"], "report"),
     ("compare", {"ref.json": {"format": "attribution/1", "features": ["a", "b"]}},
      ["--reference", "ref.json"], "entries"),
-    ("attribute", {}, ["--rows", "5-3", "--grid", "2x1", "--matrix-out", "m.txt"], "--grid"),
 ], ids=[
     "space-entry-not-object", "space-lo-not-number", "le-without-threshold",
     "threshold-not-number", "leaf-not-number", "base-score-not-number",
     "in-values-not-list", "dump-children-not-objects",
     "report-without-class-id", "report-is-array", "reference-without-entries",
-    "grid-over-no-rows",
 ])
 def test_malformed_document_exits_2(tmp_path, monkeypatch, capsys, command, docs, extra, where):
     monkeypatch.chdir(tmp_path)

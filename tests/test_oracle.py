@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from conftest import linear_corner_flip, naive_class
 from ffax import oracle
 from ffax.cells import CellSystem
+from ffax.enumeration import brute_force_all_xps
 from ffax.errors import CapabilityError, CapacityError, ContractError
 from ffax.model import (
     BooleanSplit,
@@ -253,11 +254,19 @@ def test_brute_force_capacity_error(rng):
     assert err.value.size == 2**30
 
 
-def test_brute_force_rejects_linear_models(rng):
+TREE_ONLY = {
+    "score_bounds": lambda model, v, c: score_bounds(model, PartialAssignment(v, frozenset())),
+    "brute_force_decide": lambda model, v, c: brute_force_decide(model, v, c, set()),
+    "brute_force_all_xps": brute_force_all_xps,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(TREE_ONLY))
+def test_tree_only_operations_reject_linear_models(rng, entry):
     model, _ = random_linear(rng, 3)
     v = Instance((0.5, 0.5, 0.5))
     with pytest.raises(CapabilityError):
-        brute_force_decide(model, v, evaluate(model, v).class_id, set())
+        TREE_ONLY[entry](model, v, evaluate(model, v).class_id)
 
 
 def test_decide_agrees_with_brute_force_on_fixture(adult_model, adult_instance):
