@@ -263,6 +263,8 @@ def cmd_attribute(args: argparse.Namespace) -> int:
         raise ParseError("--grid needs --matrix-out")
     space, per_row = _run_rows(args, _attribute_row)
     entries = [entry for row_entries in per_row for entry in row_entries]
+    if args.grid is not None and not entries:
+        raise ParseError("no row was selected, so there is no vector to lay out", "--grid")
     _emit(formats.write_attribution_doc(space, entries), args.output)
     if args.grid is not None:
         rows_n, cols_n = args.grid

@@ -458,10 +458,10 @@ def brute_force_all_xps(
     """
     from itertools import combinations
 
+    cells = _tree_oracle(model).cells
     m = model.space.m
     if m > 20:
         raise CapacityError(f"2^{m} subsets exceed the brute-force cap (m <= 20)", size=2**m)
-    cells = _tree_oracle(model).cells
     if evaluate(model, v).class_id != c:
         raise ContractError("instance is not predicted as class c")
     classes = class_grid(cells, {})

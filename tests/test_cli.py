@@ -47,6 +47,22 @@ def constant_inputs(tmp_path):
     return tmp_path
 
 
+@pytest.fixture
+def adult_two_rows(tmp_path):
+    """I/O flags for the adult model over two rows of different classes."""
+    instances = tmp_path / "two.csv"
+    instances.write_text(
+        "Education,Status,Occupation,Relationship,Sex,Hours/w\n"
+        "Bachelors,Separated,Sales,Not-in-family,Male,40\n"
+        "Doctorate,Married,Sales,Own-child,Male,50\n"
+    )
+    return [
+        "--model", str(ADULT / "model.json"),
+        "--space", str(ADULT / "feature_space.json"),
+        "--instances", str(instances),
+    ]
+
+
 def test_explain_fixture(capsys):
     assert main(adult_args("explain", "--rows", "0")) == 0
     out = capsys.readouterr().out
@@ -250,23 +266,9 @@ def test_explain_order_override(capsys):
     assert "{Education=Bachelors, Status=Separated}" in out
 
 
-def test_workers_shard_rows(tmp_path):
-    rows = (
-        "Education,Status,Occupation,Relationship,Sex,Hours/w\n"
-        "Bachelors,Separated,Sales,Not-in-family,Male,40\n"
-        "Doctorate,Married,Sales,Own-child,Male,50\n"
-    )
-    instances = tmp_path / "two.csv"
-    instances.write_text(rows)
+def test_workers_shard_rows(tmp_path, adult_two_rows):
     out = tmp_path / "reports.json"
-    code = main([
-        "enumerate",
-        "--model", str(ADULT / "model.json"),
-        "--space", str(ADULT / "feature_space.json"),
-        "--instances", str(instances),
-        "--workers", "2",
-        "--output", str(out),
-    ])
+    code = main(["enumerate", *adult_two_rows, "--workers", "2", "--output", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["format"] == "enumeration-reports/1"
@@ -293,18 +295,8 @@ def test_malformed_flag_value_exits_2(command, flag, value, capsys):
     assert err.startswith(f"ffax {command}: error: argument {flag}: ")
 
 
-def test_verify_report_for_another_row_exits_5(tmp_path, capsys):
-    instances = tmp_path / "two.csv"
-    instances.write_text(
-        "Education,Status,Occupation,Relationship,Sex,Hours/w\n"
-        "Bachelors,Separated,Sales,Not-in-family,Male,40\n"
-        "Doctorate,Married,Sales,Own-child,Male,50\n"
-    )
-    io_flags = [
-        "--model", str(ADULT / "model.json"),
-        "--space", str(ADULT / "feature_space.json"),
-        "--instances", str(instances),
-    ]
+def test_verify_report_for_another_row_exits_5(tmp_path, adult_two_rows, capsys):
+    io_flags = adult_two_rows
     report = tmp_path / "row0.json"
     assert main(["enumerate", *io_flags, "--rows", "0", "--output", str(report)]) == 0
     assert main(["verify", *io_flags, "--rows", "1", "--report", str(report)]) == 5
@@ -358,34 +350,30 @@ def test_explain_parses_each_input_once(monkeypatch, capsys):
     assert calls == {"parse_feature_space": 1, "parse_ensemble_dump": 1, "parse_instances": 1}
 
 
-def test_verify_workers_output_matches_one_worker(tmp_path, capsys):
-    instances = tmp_path / "two.csv"
-    instances.write_text(
-        "Education,Status,Occupation,Relationship,Sex,Hours/w\n"
-        "Bachelors,Separated,Sales,Not-in-family,Male,40\n"
-        "Doctorate,Married,Sales,Own-child,Male,50\n"
-    )
-    outputs = []
-    for workers in ("1", "2"):
-        assert main([
-            "verify",
-            "--model", str(ADULT / "model.json"),
-            "--space", str(ADULT / "feature_space.json"),
-            "--instances", str(instances),
-            "--workers", workers,
-        ]) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
-    assert outputs[0].count("PASS") == 6 and "row 1: " in outputs[0]
+def test_workers_output_matches_one_worker(adult_two_rows, monkeypatch, capsys):
+    import concurrent.futures
 
+    pools = []
 
-def test_workers_output_matches_one_worker(capsys):
-    outputs = []
-    for workers in ("1", "2"):
-        assert main(interop_args("explain", "--rows", "0-5", "--workers", workers)) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
-    assert outputs[0].count("  AXp: ") == 6
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    cases = [
+        (interop_args("explain", "--rows", "0-5"), "  AXp: ", 6),
+        (["verify", *adult_two_rows], "PASS", 6),
+    ]
+    for argv, marker, count in cases:
+        outputs = []
+        for workers in ("1", "2"):
+            assert main([*argv, "--workers", workers]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(marker) == count
+    # each command ran in a two-process pool with --workers 2, and serially with 1
+    assert pools == [2, 2]
 
 
 def test_importing_the_cli_loads_no_process_pool():
@@ -441,17 +429,18 @@ _REPORT = {
     ("verify", {"report.json": [_REPORT]}, ["--report", "report.json"], "report"),
     ("compare", {"ref.json": {"format": "attribution/1", "features": ["a", "b"]}},
      ["--reference", "ref.json"], "entries"),
+    ("attribute", {"rows.csv": "a,b\n"}, ["--grid", "2x1", "--matrix-out", "m.txt"], "--grid"),
 ], ids=[
     "space-entry-not-object", "space-lo-not-number", "le-without-threshold",
     "threshold-not-number", "leaf-not-number", "base-score-not-number",
     "in-values-not-list", "dump-children-not-objects",
     "report-without-class-id", "report-is-array", "reference-without-entries",
+    "grid-over-no-rows",
 ])
 def test_malformed_document_exits_2(tmp_path, monkeypatch, capsys, command, docs, extra, where):
     monkeypatch.chdir(tmp_path)
-    for name, doc in {"space.json": _SPACE, "model.json": _MODEL, **docs}.items():
-        Path(name).write_text(json.dumps(doc))
-    Path("rows.csv").write_text("a,b\n0.5,0\n")
+    for name, doc in {"space.json": _SPACE, "model.json": _MODEL, "rows.csv": "a,b\n0.5,0\n", **docs}.items():
+        Path(name).write_text(doc if isinstance(doc, str) else json.dumps(doc))
     if command == "compare":
         argv = [command, "--space", "space.json", *extra]
     else:

@@ -263,10 +263,12 @@ TREE_ONLY = {
 
 @pytest.mark.parametrize("entry", sorted(TREE_ONLY))
 def test_tree_only_operations_reject_linear_models(rng, entry):
-    model, _ = random_linear(rng, 3)
-    v = Instance((0.5, 0.5, 0.5))
-    with pytest.raises(CapabilityError):
-        TREE_ONLY[entry](model, v, evaluate(model, v).class_id)
+    # m = 21 is past brute_force_all_xps's subset cap: the model kind is still decided first
+    for m in (3, 21):
+        model, _ = random_linear(rng, m)
+        v = Instance((1.0,) * m)  # in every boolean and [0, 1] ordinal domain
+        with pytest.raises(CapabilityError):
+            TREE_ONLY[entry](model, v, evaluate(model, v).class_id)
 
 
 def test_decide_agrees_with_brute_force_on_fixture(adult_model, adult_instance):
