@@ -9,9 +9,9 @@ thresholds, clamped to the declared interval and nudged with ``nextafter`` so a
 representative can never escape its cell even between adjacent floats.
 
 Categorical and boolean features need no cutting: each declared value is its
-own cell. ``CellSystem`` also compiles trees into an index form (tests resolve
-to cell-index comparisons) used by both the exhaustive grid evaluator here and
-the branch-and-bound engine in ffax.oracle.
+own cell. ``CellSystem`` also compiles trees into a cell form (each test is
+the bitmask of the cells it sends yes) used by both the exhaustive grid
+evaluator here and the branch-and-bound engine in ffax.oracle.
 """
 
 import math
@@ -35,10 +35,11 @@ from .model import (
 )
 
 GRID_CAP = 10**7
-_TRUE_CELL = frozenset((1,))  # a boolean test's yes cell (index 1 is True), shared
 
-# Compiled node forms: ("leaf", w) | ("ord", fid, p, yes, no) with yes iff
-# cell <= p | ("set", fid, idxset, yes, no) with yes iff value index in idxset.
+# Compiled node forms: ("leaf", w) | ("test", fid, mask, yes, no) with yes iff
+# bit ``cell`` of ``mask`` is set. An ordinal test "cell <= p" has mask
+# (1 << (p + 1)) - 1, a membership test the OR of its value indices' bits, and
+# a boolean test 0b10 (index 1 is True).
 
 
 def _ordinal_boundaries(lo: float, hi: float, thresholds) -> tuple[float, ...]:
@@ -144,19 +145,19 @@ class CellSystem:
             # In-range thresholds of the bound model are boundaries by
             # construction, so cells 0..p are exactly the values <= t.
             assert p < len(bounds) and bounds[p] == t
-            return ("ord", node.fid, p, yes, no)
+            return ("test", node.fid, (1 << (p + 1)) - 1, yes, no)
         if isinstance(node, MembershipSplit):
-            idx = frozenset(
-                self._value_index[node.fid][v]
-                for v in node.values
-                if v in self._value_index[node.fid]
-            )
-            if not idx:
+            index = self._value_index[node.fid]
+            mask = 0
+            for v in node.values:
+                if v in index:
+                    mask |= 1 << index[v]
+            if not mask:
                 return no
-            if len(idx) == self.sizes[node.fid]:
+            if mask == (1 << self.sizes[node.fid]) - 1:
                 return yes
-            return ("set", node.fid, idx, yes, no)
-        return ("set", node.fid, _TRUE_CELL, yes, no)
+            return ("test", node.fid, mask, yes, no)
+        return ("test", node.fid, 0b10, yes, no)
 
 
 def _collect_thresholds(node, acc: dict[int, set[float]]) -> None:
@@ -208,16 +209,11 @@ def class_grid(cells: CellSystem, fixed: Mapping[int, int]) -> np.ndarray:
 
 
 def _grid_add(node, reach: np.ndarray, score: np.ndarray, axis_index) -> None:
-    tag = node[0]
-    if tag == "leaf":
+    if node[0] == "leaf":
         score[reach] += node[1]
         return
-    if tag == "ord":
-        _, fid, p, yes, no = node
-        cond = axis_index[fid] <= p
-    else:
-        _, fid, idx, yes, no = node
-        cond = np.isin(axis_index[fid], list(idx))
+    _, fid, mask, yes, no = node
+    cond = np.isin(axis_index[fid], [i for i in range(mask.bit_length()) if mask >> i & 1])
     yes_mask = reach & cond
     if yes_mask.any():
         _grid_add(yes, yes_mask, score, axis_index)

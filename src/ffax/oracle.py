@@ -1,18 +1,23 @@
 """Exact sufficiency/counterexample decisions over the full feature space.
 
 The tree-ensemble engine is a best-bound-first branch and bound over boxes of
-threshold-cell sub-domains. The relaxation bound is the per-tree sum of the
-extreme reachable leaf under the current box, accumulated per class in
-tree-index order and subtracted last; IEEE addition and subtraction are
-monotone in each argument, so the bound dominates the exactly-evaluated score
-of every completion with no epsilon anywhere. A box with no ambiguous split
-has a single reachable leaf per tree, hence an exact value; popped best-first,
-the first such box is a global optimum.
+threshold-cell sub-domains, each held as a bitmask of its cells. A compiled
+test is the bitmask of the cells it sends yes, so a box decides a test when
+its domain lies inside the mask or outside it; a tree walk steps through the
+decided tests in a loop and recurses only at an ambiguous one. The relaxation
+bound is the per-tree sum of the extreme reachable leaf under the current
+box, accumulated per class in tree-index order and subtracted last; IEEE
+addition and subtraction are monotone in each argument, so the bound
+dominates the exactly-evaluated score of every completion with no epsilon
+anywhere. A box with no ambiguous split has a single reachable leaf per tree,
+hence an exact value; popped best-first, the first such box is a global
+optimum.
 
 Branching picks the free feature with the largest total bound gap (sum of
-hi-lo over trees whose path is ambiguous because of it) and splits its current
-sub-domain at the first ambiguous test on that feature, in tree order, then in
-preorder with the yes branch first.
+hi-lo over trees whose path is ambiguous because of it, in tree-index order),
+the lowest feature id on a tie, and splits its current sub-domain at the
+first ambiguous test on that feature, in tree order, then in preorder with
+the yes branch first.
 
 The search is incremental: each heap entry carries its box's per-tree
 ``(lo, hi, first splits)`` ranges, where the map sends each feature with a
@@ -114,30 +119,25 @@ def _tree_range(node, box):
     """(min leaf, max leaf, first splits) reachable under box.
 
     The map sends each feature with a reachable ambiguous test to the first
-    such node in preorder, yes branch before no.
+    such node in preorder, yes branch before no. Decided tests are walked in
+    a loop; only an ambiguous one recurses, into both branches.
     """
-    tag = node[0]
-    if tag == "leaf":
-        return node[1], node[1], _NO_SPLITS
-    if tag == "ord":
-        _, fid, p, yes, no = node
-        a, b = box[fid]
-        if b <= p:
-            return _tree_range(yes, box)
-        if a > p:
-            return _tree_range(no, box)
-    else:
-        _, fid, idx, yes, no = node
-        allowed = box[fid]
-        if allowed <= idx:
-            return _tree_range(yes, box)
-        if allowed.isdisjoint(idx):
-            return _tree_range(no, box)
-    lo_y, hi_y, first_y = _tree_range(yes, box)
-    lo_n, hi_n, first_n = _tree_range(no, box)
-    first = first_n | first_y  # a yes-side split comes before a no-side one
-    first[fid] = node  # and this node before both
-    return min(lo_y, lo_n), max(hi_y, hi_n), first
+    while node[0] == "test":
+        _, fid, mask, yes, no = node
+        dom = box[fid]
+        inside = dom & mask
+        if inside == dom:
+            node = yes
+        elif not inside:
+            node = no
+        else:
+            lo_y, hi_y, first_y = _tree_range(yes, box)
+            lo_n, hi_n, first_n = _tree_range(no, box)
+            first = first_n | first_y  # a yes-side split comes before a no-side one
+            first[fid] = node  # and this node before both
+            # min and max, each keeping its first argument on a tie
+            return lo_n if lo_n < lo_y else lo_y, hi_n if hi_n > hi_y else hi_y, first
+    return node[1], node[1], _NO_SPLITS
 
 
 def _bound(obj: _Objective, ranges) -> float:
@@ -158,27 +158,14 @@ def _bound(obj: _Objective, ranges) -> float:
     return pos_acc - neg_acc
 
 
-def _gaps(ranges) -> dict[int, float]:
-    """Per ambiguous feature, the summed hi - lo of the trees it leaves open."""
-    gaps: dict[int, float] = {}
-    for lo, hi, first in ranges:
-        for fid in first:
-            gaps[fid] = gaps.get(fid, 0.0) + (hi - lo)
-    return gaps
-
-
 def _split_box(box, node):
     """``box`` cut at the compiled test ``node``: the yes side, then the no side."""
-    tag, fid, cut, _, _ = node
+    _, fid, mask, _, _ = node
+    dom = box[fid]
     yes_box = list(box)
     no_box = list(box)
-    if tag == "ord":
-        a, b = box[fid]
-        yes_box[fid] = (a, cut)
-        no_box[fid] = (cut + 1, b)
-    else:
-        yes_box[fid] = box[fid] & cut
-        no_box[fid] = box[fid] - cut
+    yes_box[fid] = dom & mask
+    no_box[fid] = dom & ~mask
     return tuple(yes_box), tuple(no_box)
 
 
@@ -201,10 +188,18 @@ def _maximize(obj: _Objective, box, fail_below: float | None = None, strict: boo
         bound = -nbound
         if fail_below is not None and (bound < fail_below or (strict and bound <= fail_below)):
             return None, None
-        gaps = _gaps(ranges)
+        gaps: dict[int, float] = {}
+        for lo, hi, first in ranges:
+            if first:
+                gap = hi - lo
+                for f in first:
+                    gaps[f] = gaps.get(f, 0.0) + gap
         if not gaps:
             return bound, cur
-        fid = max(gaps, key=lambda f: (gaps[f], -f))
+        fid, best = -1, -1.0  # every gap is >= 0
+        for f, gap in gaps.items():
+            if gap > best or (gap == best and f < fid):
+                fid, best = f, gap
         touched = [t for t, r in enumerate(ranges) if fid in r[2]]
         for child in _split_box(cur, ranges[touched[0]][2][fid]):
             cranges = ranges.copy()
@@ -230,17 +225,12 @@ class _TreeOracle:
         return self._objectives[key]
 
     def box_for(self, v: Instance, fixed) -> tuple:
-        """Each fixed feature's domain is v's cell, each free one's all cells."""
+        """Each fixed feature's domain is v's cell, each free one's all cells, as bitmasks."""
         cells = self.cells
-        box = []
-        for fid, size in enumerate(cells.sizes):
-            ordinal = cells.kinds[fid] == "ordinal"
-            if fid in fixed:
-                i = cells.cell_of(fid, v.values[fid])
-                box.append((i, i) if ordinal else frozenset((i,)))
-            else:
-                box.append((0, size - 1) if ordinal else frozenset(range(size)))
-        return tuple(box)
+        return tuple(
+            1 << cells.cell_of(fid, v.values[fid]) if fid in fixed else (1 << size) - 1
+            for fid, size in enumerate(cells.sizes)
+        )
 
     def find_class_change(self, v: Instance, c: int, free) -> Instance | None:
         """A domain-valid x agreeing with v outside ``free`` with class != c.
@@ -277,19 +267,15 @@ def _witness_point(cells: CellSystem, v: Instance, box, wbox) -> Instance:
 
     It keeps v's exact value on every feature whose domain holds v's cell and
     takes the representative of the domain's lowest cell elsewhere. Only a
-    domain the search split can have lost v's cell: every other one is still
-    ``box``'s own object, a fixed feature's cell or a free feature's full
-    domain.
+    domain the search split can have lost v's cell: every other one still
+    equals ``box``'s, a fixed feature's cell or a free feature's full domain.
     """
     values = list(v.values)
     for fid, dom in enumerate(wbox):
-        if dom is not box[fid]:
+        if dom != box[fid]:
             cell = cells.cell_of(fid, values[fid])
-            if isinstance(dom, tuple):
-                if not dom[0] <= cell <= dom[1]:
-                    values[fid] = cells.reps[fid][dom[0]]
-            elif cell not in dom:
-                values[fid] = cells.reps[fid][min(dom)]
+            if not dom >> cell & 1:
+                values[fid] = cells.reps[fid][(dom & -dom).bit_length() - 1]
     return Instance(values=tuple(values))
 
 

@@ -1,5 +1,6 @@
 import heapq
 import random
+from bisect import bisect_left
 from types import SimpleNamespace
 
 import pytest
@@ -17,6 +18,8 @@ from ffax.model import (
     Instance,
     Leaf,
     LinearModel,
+    MembershipSplit,
+    ThresholdSplit,
     Tree,
     TreeEnsemble,
     evaluate,
@@ -462,6 +465,71 @@ def test_multiclass_tie_goes_to_the_lower_class_id(rival, flips):
 # --- incremental branch and bound against the full-recompute search ------------------
 
 
+def _reference_compile(cells, node):
+    """A tree in the set-based compiled form: ("leaf", w), ("ord", fid, p, yes, no)
+    with yes iff cell <= p, or ("set", fid, cells, yes, no) with yes iff the
+    value's cell is in ``cells``. Only the cell partition comes from ``cells``.
+    """
+    if isinstance(node, Leaf):
+        return ("leaf", node.weight)
+    yes = _reference_compile(cells, node.yes)
+    no = _reference_compile(cells, node.no)
+    spec = cells.model.space[node.fid]
+    if isinstance(node, ThresholdSplit):
+        if node.threshold >= spec.hi:
+            return yes
+        if node.threshold < spec.lo:
+            return no
+        return ("ord", node.fid, bisect_left(cells.boundaries[node.fid], node.threshold), yes, no)
+    if isinstance(node, MembershipSplit):
+        idx = frozenset(i for i, value in enumerate(spec.values) if value in node.values)
+        if not idx:
+            return no
+        if len(idx) == len(spec.values):
+            return yes
+        return ("set", node.fid, idx, yes, no)
+    return ("set", node.fid, frozenset((1,)), yes, no)
+
+
+def _reference_objective(model, pos, neg):
+    """The objective's trees in the set-based form, and its base scores."""
+    cells = CellSystem(model)
+    trees = [(tree.class_id, _reference_compile(cells, tree.root)) for tree in model.trees]
+    return SimpleNamespace(
+        neg=neg,
+        pos_base=model.base_score[pos] if pos is not None else 0.0,
+        neg_base=model.base_score[neg] if neg is not None else 0.0,
+        pos_trees=tuple(root for cid, root in trees if cid == pos),
+        neg_trees=tuple(root for cid, root in trees if cid == neg),
+    )
+
+
+def _reference_box_for(cells, v, fixed):
+    """An ordinal domain is a cell range (a, b), any other a frozenset of cells."""
+    box = []
+    for fid, size in enumerate(cells.sizes):
+        ordinal = cells.kinds[fid] == "ordinal"
+        if fid in fixed:
+            i = cells.cell_of(fid, v.values[fid])
+            box.append((i, i) if ordinal else frozenset((i,)))
+        else:
+            box.append((0, size - 1) if ordinal else frozenset(range(size)))
+    return tuple(box)
+
+
+def _as_masks(box):
+    """Each domain of ``box`` as a cell bitmask; a domain already a mask is kept."""
+    masks = []
+    for dom in box:
+        if isinstance(dom, tuple):
+            masks.append((1 << dom[1] + 1) - (1 << dom[0]))
+        elif isinstance(dom, frozenset):
+            masks.append(sum(1 << cell for cell in dom))
+        else:
+            masks.append(dom)
+    return tuple(masks)
+
+
 def _reference_tree_range(node, box):
     """(min leaf, max leaf, ambiguous features) reachable under box."""
     tag = node[0]
@@ -558,8 +626,9 @@ def _reference_split_box(box, fid, test):
 def _reference_maximize(obj, box, fail_below=None, strict=False, pops=None):
     """The search before per-tree range reuse: every node re-walks every tree.
 
-    It shares no code with ``oracle``: the tree walk, the branching test and
-    the split are frozen copies of the set-based originals.
+    It shares no code with ``oracle``: the compiled trees, the boxes, the
+    tree walk, the branching test and the split are frozen copies of the
+    set-based originals over the same cell partition.
     """
     bound, gaps = _reference_analyze(obj, box)
     heap = [(-bound, 0, box, gaps)]
@@ -594,7 +663,7 @@ def _recording_heapq(pops):
 
 def _bit_exact(result):
     bound, box = result
-    return (None if bound is None else bound.hex(), box)
+    return (None if bound is None else bound.hex(), None if box is None else _as_masks(box))
 
 
 def test_incremental_search_matches_full_recompute(rng, monkeypatch):
@@ -608,48 +677,131 @@ def test_incremental_search_matches_full_recompute(rng, monkeypatch):
         )
         v = random_instance(rng, space)
         compiled = oracle._tree_oracle(model)
+        cells = CellSystem(model)
         if model.single_score:
             pairs = [(1, None), (None, 1)]
         else:
             pairs = [(a, b) for a in range(k) for b in range(k) if a != b]
         for pos, neg in pairs:
-            obj = compiled.objective(pos, neg)
             fixed = {fid for fid in range(m) if rng.random() < 0.4}
-            box = compiled.box_for(v, fixed)
             fail_below = rng.choice((None, 0.0, 0.0, round(rng.uniform(-1.5, 1.5), 2)))
             strict = rng.random() < 0.5
             expected_pops, pops = [], []
-            expected = _reference_maximize(obj, box, fail_below, strict, expected_pops)
+            expected = _reference_maximize(
+                _reference_objective(model, pos, neg), _reference_box_for(cells, v, fixed),
+                fail_below, strict, expected_pops,
+            )
             monkeypatch.setattr(oracle, "heapq", _recording_heapq(pops))
-            got = oracle._maximize(obj, box, fail_below, strict)
+            got = oracle._maximize(
+                compiled.objective(pos, neg), compiled.box_for(v, fixed), fail_below, strict
+            )
             monkeypatch.undo()
             assert _bit_exact(got) == _bit_exact(expected)
-            assert pops == expected_pops
+            assert [_as_masks(box) for box in pops] == [_as_masks(box) for box in expected_pops]
             searches += 1
             branched += len(expected_pops) > 1
     assert searches > 1000 and branched > 500, (searches, branched)
 
 
+def test_equal_gaps_split_the_lower_feature_id_first(monkeypatch):
+    # Both trees leave a gap of 1.0 open; the first in tree order reads
+    # feature 1, yet feature 0 must be split first.
+    space = _two_booleans()
+    model = TreeEnsemble(space, ("n", "y"), (
+        Tree(1, BooleanSplit(1, yes=Leaf(1.0), no=Leaf(0.0))),
+        Tree(1, BooleanSplit(0, yes=Leaf(1.0), no=Leaf(0.0))),
+    ))
+    compiled = oracle._tree_oracle(model)
+    split_fids = []
+    split_box = oracle._split_box
+
+    def recording(box, node):
+        split_fids.append(node[1])
+        return split_box(box, node)
+
+    monkeypatch.setattr(oracle, "_split_box", recording)
+    box = compiled.box_for(Instance((False, False)), ())
+    bound, box = oracle._maximize(compiled.objective(1, None), box)
+    assert split_fids == [0, 1]
+    assert (bound, box) == (2.0, (0b10, 0b10))
+
+
+SPLIT_KINDS = {
+    # cells 0..3 of x, cut by the root test "x <= 5" after cell 1
+    "ordinal": (
+        FeatureSpec(0, "x", "ordinal", lo=0.0, hi=10.0),
+        ThresholdSplit(0, 5.0, yes=ThresholdSplit(0, 2.0, yes=Leaf(0.1), no=Leaf(0.2)),
+                       no=ThresholdSplit(0, 8.0, yes=Leaf(0.3), no=Leaf(0.4))),
+    ),
+    "membership": (
+        FeatureSpec(0, "colour", "categorical", values=("a", "b", "c", "d")),
+        MembershipSplit(0, frozenset({"b", "d"}), yes=Leaf(0.1), no=Leaf(0.2)),
+    ),
+    "boolean": (FeatureSpec(0, "a", "boolean"), BooleanSplit(0, yes=Leaf(0.1), no=Leaf(0.2))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPLIT_KINDS))
+def test_mask_split_partitions_like_the_set_split(kind):
+    spec, root = SPLIT_KINDS[kind]
+    model = TreeEnsemble(FeatureSpace((spec,)), ("n", "y"), (Tree(1, root),))
+    cells = CellSystem(model)
+    node = cells.trees[0][1]
+    ref_node = _reference_compile(cells, root)
+    size = cells.sizes[0]
+    if kind == "ordinal":
+        domains = [(a, b) for a in range(size) for b in range(a, size)]
+    else:
+        domains = [
+            frozenset(c for c in range(size) if bits >> c & 1) for bits in range(1, 1 << size)
+        ]
+    ambiguous = 0
+    for dom in domains:
+        (mask,) = _as_masks((dom,))
+        if not 0 < mask & node[2] < mask:
+            continue  # the test decides this domain: nothing to split
+        ambiguous += 1
+        yes, no = oracle._split_box((mask,), node)
+        expected = _reference_split_box((dom,), 0, (ref_node[0], ref_node[2]))
+        assert (yes, no) == tuple(_as_masks(box) for box in expected)
+        assert yes[0] & no[0] == 0 and yes[0] | no[0] == mask
+    assert ambiguous == {"ordinal": 4, "membership": 9, "boolean": 1}[kind]
+
+
 def test_incremental_search_walks_fewer_trees_on_interop(monkeypatch, interop):
+    # The flip search of one query with every feature free, once per engine.
     model, v = interop[0], interop[1][1]
     c = evaluate(model, v).class_id
-    calls = [0]
+    pos, neg, strict = (None, 1, True) if c == 1 else (1, None, False)
+    walks = [0]
 
     def counting(tree_range):
+        depth = [0]
+
         def walk(node, box):
-            calls[0] += 1
-            return tree_range(node, box)
+            walks[0] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return tree_range(node, box)
+            finally:
+                depth[0] -= 1
 
         return walk
 
-    # each walk recurses through its module's global name, so every node visit counts
+    # a walk may recurse through its module's global name; only the outer
+    # call, a walk started by the search, counts
     monkeypatch.setattr(oracle, "_tree_range", counting(oracle._tree_range))
     monkeypatch.setitem(globals(), "_reference_tree_range", counting(_reference_tree_range))
-    witness = find_counterexample(model, v, c, range(model.space.m))
-    incremental = calls[0]
-    calls[0] = 0
-    monkeypatch.setattr(oracle, "_maximize", _reference_maximize)
-    assert find_counterexample(model, v, c, range(model.space.m)) == witness
-    reference = calls[0]
-    assert witness is not None and evaluate(model, witness).class_id != c
+    compiled = oracle._tree_oracle(model)
+    got = oracle._maximize(
+        compiled.objective(pos, neg), compiled.box_for(v, frozenset()), 0.0, strict
+    )
+    incremental = walks[0]
+    walks[0] = 0
+    expected = _reference_maximize(
+        _reference_objective(model, pos, neg),
+        _reference_box_for(CellSystem(model), v, frozenset()), 0.0, strict,
+    )
+    reference = walks[0]
+    assert got[1] is not None and _bit_exact(got) == _bit_exact(expected)
     assert incremental < reference, (incremental, reference)
