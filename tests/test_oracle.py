@@ -467,8 +467,9 @@ def test_multiclass_tie_goes_to_the_lower_class_id(rival, flips):
 
 def _reference_compile(cells, node):
     """A tree in the set-based compiled form: ("leaf", w), ("ord", fid, p, yes, no)
-    with yes iff cell <= p, or ("set", fid, cells, yes, no) with yes iff the
-    value's cell is in ``cells``. Only the cell partition comes from ``cells``.
+    with yes iff cell <= p, or ("set", fid, idx, yes, no) with yes iff the
+    value's cell is in the frozenset ``idx``. Only the cell partition comes
+    from ``cells``.
     """
     if isinstance(node, Leaf):
         return ("leaf", node.weight)
@@ -721,9 +722,8 @@ def test_equal_gaps_split_the_lower_feature_id_first(monkeypatch):
 
     monkeypatch.setattr(oracle, "_split_box", recording)
     box = compiled.box_for(Instance((False, False)), ())
-    bound, box = oracle._maximize(compiled.objective(1, None), box)
+    assert oracle._maximize(compiled.objective(1, None), box) == (2.0, (0b10, 0b10))
     assert split_fids == [0, 1]
-    assert (bound, box) == (2.0, (0b10, 0b10))
 
 
 SPLIT_KINDS = {
