@@ -1,0 +1,149 @@
+#!/usr/bin/env python3
+"""Record the hitting-set calls of complete enumerations, then replay and time them.
+
+Runs complete enumerations, either of interop rows or of one criterion-5 pin
+(``tests/test_acceptance.py``), with ``ffax.enumeration.minimal_hs`` wrapped
+so that every call's to-hit family, blocked family and answer are kept. Each
+run's calls are then replayed in order through one fresh hitting-set state,
+as the enumeration loop makes them, and every answer must equal the recorded
+one. A checkout without the state class replays each call statelessly, so
+the same script measures the engine before the state existed.
+
+Prints one JSON object: the calls, the replay time per call (the median of
+``--repeats`` replays), and the split between calls that greedy answered and
+calls that fell back to the exact search. The enumerations themselves are
+not timed. Examples:
+
+    python scripts/replay_hitting_sets.py --interop 4,7 --mode axp-first
+    python scripts/replay_hitting_sets.py --pin 2254 --mode cxp-first
+"""
+
+import argparse
+import json
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from ffax import enumeration, formats  # noqa: E402
+from ffax.enumeration import enumerate_explanations  # noqa: E402
+
+
+def interop_runs(rows):
+    folder = ROOT / "fixtures" / "interop"
+    meta = json.loads((folder / "meta.json").read_text())
+    space = formats.parse_feature_space((folder / "feature_space.json").read_text())
+    model = formats.parse_ensemble_dump(
+        (folder / "model_dump.json").read_text(), space, class_names=tuple(meta["classes"])
+    )
+    points = formats.parse_instances((folder / "points.csv").read_text(), space)
+    return [(model, points[row]) for row in rows]
+
+
+def pin_runs(seed):
+    from test_acceptance import _convergence_case
+
+    _, model, v = _convergence_case((seed, 24, 16))
+    return [(model, v)]
+
+
+def record(runs, mode):
+    """Per run, every ``minimal_hs`` call as ``(to_hit, blocked, m, answer)``."""
+    original = enumeration.minimal_hs
+    calls = []
+
+    def recording(to_hit, blocked, m, **kwargs):
+        answer = original(to_hit, blocked, m, **kwargs)
+        calls.append((tuple(to_hit), tuple(blocked), m, answer))
+        return answer
+
+    recorded = []
+    enumeration.minimal_hs = recording
+    try:
+        for model, v in runs:
+            calls = []
+            report = enumerate_explanations(model, v, mode=mode)
+            if not report.complete:
+                raise SystemExit("an enumeration stopped before completion")
+            recorded.append(calls)
+    finally:
+        enumeration.minimal_hs = original
+    return recorded
+
+
+def replay(recorded):
+    """Seconds spent in, and count of, the calls greedy answered and those that
+    fell back to the exact search. Checks every answer."""
+    state_class = getattr(enumeration, "_HittingSets", None)
+    original_exact = enumeration._exact_hs
+    went_exact = False
+
+    def exact(*args):
+        nonlocal went_exact
+        went_exact = True
+        return original_exact(*args)
+
+    spent = {"greedy": 0.0, "exact": 0.0}
+    counts = {"greedy": 0, "exact": 0}
+    enumeration._exact_hs = exact
+    try:
+        for calls in recorded:
+            extra = {} if state_class is None else {"_state": state_class(calls[0][2])}
+            for to_hit, blocked, m, expected in calls:
+                went_exact = False
+                start = time.perf_counter()
+                answer = enumeration.minimal_hs(to_hit, blocked, m, **extra)
+                path = "exact" if went_exact else "greedy"
+                spent[path] += time.perf_counter() - start
+                counts[path] += 1
+                if answer != expected:
+                    raise SystemExit(f"replayed answer {answer} differs from recorded {expected}")
+    finally:
+        enumeration._exact_hs = original_exact
+    return spent, counts
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--interop", help="comma-separated interop row ids")
+    source.add_argument("--pin", type=int, help="seed of a (seed, 24, 16) criterion-5 pin")
+    parser.add_argument("--mode", choices=("cxp-first", "axp-first"), default="cxp-first")
+    parser.add_argument("--repeats", type=int, default=3, help="replays timed; the median is kept")
+    args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+
+    if args.pin is not None:
+        runs, name = pin_runs(args.pin), f"pin ({args.pin}, 24, 16)"
+    else:
+        rows = [int(x) for x in args.interop.split(",")]
+        runs, name = interop_runs(rows), f"interop rows {rows}"
+    recorded = record(runs, args.mode)
+    replays = [replay(recorded) for _ in range(args.repeats)]
+    totals = [spent["greedy"] + spent["exact"] for spent, _ in replays]
+    middle, counts = replays[totals.index(statistics.median_low(totals))]
+    total, calls = sum(middle.values()), sum(counts.values())
+    print(json.dumps({
+        "source": name,
+        "mode": args.mode,
+        "stateful": hasattr(enumeration, "_HittingSets"),
+        "python": platform.python_version(),
+        "calls": calls,
+        "greedy_calls": counts["greedy"],
+        "exact_calls": counts["exact"],
+        "replay_s": round(total, 4),
+        "replay_s_each": [round(t, 4) for t in totals],
+        "us_per_call": round(1e6 * total / calls, 1),
+        "greedy_us_per_call": round(1e6 * middle["greedy"] / max(counts["greedy"], 1), 1),
+        "exact_us_per_call": round(1e6 * middle["exact"] / max(counts["exact"], 1), 1),
+    }, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

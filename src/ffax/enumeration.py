@@ -8,7 +8,10 @@ asks the hitting-set engine for a new candidate (a minimal hitting set of the
 collected duals that is not a superset of any collected target), tests the
 candidate with the exact oracle, and records either the candidate or a dual
 explanation extracted from its complement. When no candidate exists the
-report is complete and certified by duality.
+report is complete and certified by duality. The collected families only
+grow during a run, so the loop keeps one hitting-set state (``_HittingSets``)
+that holds them as bitmasks and converts only the sets added since the last
+candidate; every candidate is the one a stateless call would return.
 
 The loop is anytime: wall-clock, explanation-count, and oracle-call budgets
 stop it between oracle calls, so every recorded explanation is fully
@@ -125,6 +128,7 @@ def minimal_hs(
     to_hit: Sequence[frozenset[int]],
     blocked: Sequence[frozenset[int]],
     m: int,
+    _state: "_HittingSets | None" = None,
 ) -> frozenset[int] | None:
     """A subset-minimal hitting set of ``to_hit`` that contains no blocked set.
 
@@ -147,31 +151,80 @@ def minimal_hs(
     still chosen from the forbidden ids alone, so the nodes visited are those
     of the unpruned search minus empty subtrees, and the first solution found
     is the same.
+
+    ``_state`` carries the masks from one call to the next: a caller whose
+    families only grow (the enumeration loop) passes the same ``_HittingSets``
+    with the same ``m`` on every call, and each call converts only the sets
+    appended since the last one. The answer is the one a stateless call, which
+    uses a fresh state, gives on the same families. A state never forgets: it
+    raises ``ContractError`` when given fewer sets than it already holds, and
+    a set replaced in place is not noticed.
     """
-    universe = frozenset(range(m))
-    for s in to_hit:
-        if not s <= universe:
-            raise ContractError(f"set {sorted(s)} outside feature universe 0..{m - 1}")
-    rows = [_mask(s) for s in to_hit]
-    blocks, blocks_with = [], [[] for _ in range(m)]
-    for b in blocked:
-        if b <= universe:  # a blocked set reaching outside can never be completed
-            blocks.append(_mask(b))
-            for fid in b:
-                blocks_with[fid].append(blocks[-1])
-    if 0 in blocks or 0 in rows:
+    state = _HittingSets(m) if _state is None else _state
+    state.absorb(to_hit, blocked, m)
+    if state.empty:
         return None  # everything contains the empty set, which nothing hits
-    forbidden = _forbid(0, 0, blocks)
-    candidate = _greedy_hs(to_hit, forbidden, blocks_with, m)
+    rows = state.rows
+    candidate = _greedy_hs(state.cols, state.singles, state.blocks_with, len(rows))
     if candidate is None:
-        candidate = _exact_hs(rows, forbidden, blocks_with)
+        candidate = _exact_hs(rows, state.singles, state.blocks_with)
         if candidate is None:
             return None
     for fid in _ids(candidate):
         trial = candidate & ~(1 << fid)
-        if all(s & trial for s in rows):
+        if all(s & trial for s, _ in rows):
             candidate = trial
     return frozenset(_ids(candidate))
+
+
+class _HittingSets:
+    """The masks of a to-hit and a blocked family that only ever grow.
+
+    ``rows`` holds each to-hit set as ``(mask, popcount)``; bit ``i`` of
+    ``cols[fid]`` is set when the ``i``-th to-hit set holds ``fid``;
+    ``blocks_with[fid]`` lists the masks of the blocked sets that hold
+    ``fid``, and ``singles`` the ids that are a blocked set on their own.
+    ``empty`` is set once either family holds the empty set.
+    """
+
+    def __init__(self, m: int):
+        self.m = m
+        self.universe = frozenset(range(m))
+        self.rows: list[tuple[int, int]] = []
+        self.cols = [0] * m
+        self.blocks_with: list[list[int]] = [[] for _ in range(m)]
+        self.singles = 0
+        self.empty = False
+        self.absorbed = (0, 0)  # how many to-hit and blocked sets are held
+
+    def absorb(self, to_hit, blocked, m: int) -> None:
+        """Take in the sets of ``to_hit`` and ``blocked`` past those already held."""
+        n_hit, n_blocked = self.absorbed
+        if m != self.m:
+            raise ContractError(f"hitting-set state built for m = {self.m}, called with m = {m}")
+        if len(to_hit) < n_hit or len(blocked) < n_blocked:
+            raise ContractError("a hitting-set state's families can only grow")
+        new_hit = to_hit[n_hit:]
+        for s in new_hit:
+            if not s <= self.universe:
+                raise ContractError(f"set {sorted(s)} outside feature universe 0..{m - 1}")
+        cols = self.cols
+        for s in new_hit:
+            bit = 1 << len(self.rows)
+            for fid in s:
+                cols[fid] |= bit
+            mask = _mask(s)
+            self.rows.append((mask, mask.bit_count()))
+            self.empty |= not mask
+        for b in blocked[n_blocked:]:
+            if b <= self.universe:  # a blocked set reaching outside can never be completed
+                mask = _mask(b)
+                if not mask & (mask - 1):
+                    self.singles |= mask
+                    self.empty |= not mask
+                for fid in b:
+                    self.blocks_with[fid].append(mask)
+        self.absorbed = (len(to_hit), len(blocked))
 
 
 def _mask(s: Iterable[int]) -> int:
@@ -180,7 +233,12 @@ def _mask(s: Iterable[int]) -> int:
 
 def _ids(mask: int) -> list[int]:
     """The set bits of ``mask``, ascending."""
-    return [fid for fid in range(mask.bit_length()) if mask >> fid & 1]
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids
 
 
 def _forbid(forbidden: int, chosen: int, blocks: Iterable[int]) -> int:
@@ -192,17 +250,13 @@ def _forbid(forbidden: int, chosen: int, blocks: Iterable[int]) -> int:
     return forbidden
 
 
-def _greedy_hs(to_hit, forbidden: int, blocks_with: list[list[int]], m: int) -> int | None:
-    # cols[fid] has bit i set when to_hit[i] holds fid; unhit is a mask over to_hit
-    cols = [0] * m
-    for i, s in enumerate(to_hit):
-        for fid in s:
-            cols[fid] |= 1 << i
-    chosen, unhit = 0, (1 << len(to_hit)) - 1
+def _greedy_hs(cols: list[int], forbidden: int, blocks_with: list[list[int]], n: int) -> int | None:
+    # unhit is a mask over the n to-hit sets, in the bit order of cols
+    chosen, unhit = 0, (1 << n) - 1
     while unhit:
         best, best_fid = 0, None
-        for fid in range(m):
-            count = (cols[fid] & unhit).bit_count()
+        for fid, col in enumerate(cols):
+            count = (col & unhit).bit_count()
             if count > best and not forbidden >> fid & 1:
                 best, best_fid = count, fid
         if best_fid is None:
@@ -213,26 +267,38 @@ def _greedy_hs(to_hit, forbidden: int, blocks_with: list[list[int]], m: int) -> 
     return chosen
 
 
-def _exact_hs(rows: list[int], forbidden: int, blocks_with: list[list[int]]) -> int | None:
+def _exact_hs(
+    rows: list[tuple[int, int]], forbidden: int, blocks_with: list[list[int]]
+) -> int | None:
     """Complete search: branch on the currently most constrained un-hit set."""
 
-    def dfs(chosen: int, forbidden: int, excluded: int, unhit: list[int]) -> int | None:
+    def dfs(chosen: int, forbidden: int, excluded: int, unhit: list[tuple[int, int]]) -> int | None:
         if not unhit:
             return chosen
-        allowed, usable = ~forbidden, ~(forbidden | excluded)
-        target = key = None
-        for s in unhit:
+        allowed = ~forbidden
+        usable = allowed & ~excluded
+        target, count, size = 0, len(blocks_with) + 1, 0
+        for s, s_size in unhit:
             options = s & allowed
             if not options & usable:
                 return None  # every way to hit s is forbidden or excluded
-            k = (options.bit_count(), s.bit_count())
-            # of two equal-size option lists, the one holding the lowest differing id is smaller
-            if key is None or k < key or (k == key and options & (d := options ^ target) & -d):
-                target, key = options, k
+            n = options.bit_count()
+            # fewest options, then fewest elements; of two equal-size option
+            # lists, the one holding the lowest differing id is smaller
+            if n < count or n == count and (
+                s_size < size or s_size == size and options & (d := options ^ target) & -d
+            ):
+                target, count, size = options, n, s_size
         for fid in _ids(target & ~excluded):
             bit = 1 << fid
-            found = dfs(chosen | bit, _forbid(forbidden, chosen | bit, blocks_with[fid]),
-                        excluded, [s for s in unhit if not s & bit])
+            now = chosen | bit
+            unchosen = ~now
+            child = forbidden
+            for b in blocks_with[fid]:
+                rest = b & unchosen
+                if not rest & (rest - 1):
+                    child |= rest
+            found = dfs(now, child, excluded, [row for row in unhit if not row[0] & bit])
             if found is not None:
                 return found
             excluded |= bit  # no solution below a later sibling contains fid
@@ -391,6 +457,8 @@ def enumerate_explanations(
     axps: list[Explanation] = []
     cxps: list[Explanation] = []
     found = {AXP: axps, CXP: cxps}
+    sets: dict[str, list[frozenset[int]]] = {AXP: [], CXP: []}
+    hitting_sets = _HittingSets(m)
     complete = False
     index = 0
 
@@ -406,6 +474,7 @@ def enumerate_explanations(
             oracle_calls=clock.calls,
         )
         found[kind].append(entry)
+        sets[kind].append(features)
         index += 1
 
     try:
@@ -414,9 +483,7 @@ def enumerate_explanations(
                 break
             if budget.max_cxps is not None and len(cxps) >= budget.max_cxps:
                 break
-            candidate = minimal_hs(
-                [e.features for e in found[dual]], [e.features for e in found[target]], m
-            )
+            candidate = minimal_hs(sets[dual], sets[target], m, _state=hitting_sets)
             if candidate is None:
                 complete = True
                 break

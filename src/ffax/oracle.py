@@ -47,8 +47,11 @@ max score >= 0; for multiclass it is a disjunction over rival classes c' of
 max(score_c' - score_c) reaching 0, strictly when c' > c.
 
 ``brute_force_decide`` answers the same questions by enumerating the cell grid
-(exact because the score is constant per cell); it shares only the cell
-partition with the branch and bound and serves as its independent check.
+(exact because the score is constant per cell) and serves as the check of the
+search. It is not independent of compilation: ``class_grid`` walks the same
+compiled trees (``CellSystem.trees``) over the same cell partition. Witnesses
+are re-checked with ``evaluate`` on the model's own trees, and the tests
+compare ``class_grid`` with ``evaluate`` at every cell's representative.
 """
 
 import heapq

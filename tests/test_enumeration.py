@@ -17,6 +17,7 @@ from ffax.enumeration import (
     extract_cxp,
     minimal_hs,
     _Clock,
+    _HittingSets,
 )
 from ffax.errors import CapacityError, ContractError
 from ffax.model import (
@@ -413,6 +414,59 @@ def test_minimal_hs_branching_set_tie_breaks(to_hit, blocked, m, expected):
     assert _reference_greedy_hs(to_hit, blocked) is None
     assert minimal_hs(to_hit, blocked, m) == frozenset(expected)
     assert _reference_minimal_hs(to_hit, blocked, m) == frozenset(expected)
+
+
+@st.composite
+def growing_families(draw):
+    """A feature count and a run of additions: (to-hit or blocked, the set, call after it)."""
+    m = draw(st.integers(1, 12))
+    width = draw(st.integers(1, min(m, 4)))  # short sets, so that greedy often fails
+    sets = st.frozensets(st.integers(0, m - 1), min_size=1, max_size=width)
+    return m, draw(st.lists(st.tuples(st.booleans(), sets, st.booleans()), max_size=30))
+
+
+@settings(max_examples=200)
+@given(growing_families())
+def test_state_matches_the_reference_and_a_stateless_call_at_every_prefix(problem):
+    # the families grow one set at a time, as in the enumeration loop; a state
+    # that skips a call absorbs several sets at once
+    m, steps = problem
+    state = _HittingSets(m)
+    to_hit, blocked = [], []
+    for is_hit, s, call in steps:
+        (to_hit if is_hit else blocked).append(s)
+        if call:
+            expected = _reference_minimal_hs(to_hit, blocked, m)
+            assert minimal_hs(to_hit, blocked, m, _state=state) == expected
+            assert minimal_hs(to_hit, blocked, m) == expected
+
+
+def test_state_refuses_families_that_shrink_or_another_m():
+    state = _HittingSets(3)
+    to_hit, blocked = [frozenset({0}), frozenset({1})], [frozenset({2})]
+    assert minimal_hs(to_hit, blocked, 3, _state=state) == frozenset({0, 1})
+    with pytest.raises(ContractError, match="can only grow"):
+        minimal_hs(to_hit[:1], blocked, 3, _state=state)
+    with pytest.raises(ContractError, match="can only grow"):
+        minimal_hs(to_hit, [], 3, _state=state)
+    with pytest.raises(ContractError, match="built for m = 3"):
+        minimal_hs(to_hit, blocked, 4, _state=state)
+    assert minimal_hs(to_hit, blocked, 3, _state=state) == frozenset({0, 1})
+
+
+def test_state_checks_the_universe_of_sets_added_late():
+    state = _HittingSets(3)
+    to_hit, blocked = [frozenset({0, 1})], []
+    assert minimal_hs(to_hit, blocked, 3, _state=state) == frozenset({0})
+    blocked.append(frozenset({0, 5}))  # reaches outside, so it can never be completed
+    assert minimal_hs(to_hit, blocked, 3, _state=state) == frozenset({0})
+    blocked.append(frozenset({0}))
+    assert minimal_hs(to_hit, blocked, 3, _state=state) == frozenset({1})
+    to_hit.append(frozenset({2, 3}))
+    with pytest.raises(ContractError, match="outside feature universe"):
+        minimal_hs(to_hit, blocked, 3, _state=state)
+    to_hit[-1] = frozenset({2})  # the refused set was not absorbed
+    assert minimal_hs(to_hit, blocked, 3, _state=state) == frozenset({1, 2})
 
 
 def test_minimal_hs_universe_check():

@@ -1,5 +1,6 @@
 import heapq
 import random
+from itertools import product
 from bisect import bisect_left
 from types import SimpleNamespace
 
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from conftest import linear_corner_flip, naive_class
 from ffax import oracle
-from ffax.cells import CellSystem
+from ffax.cells import CellSystem, class_grid
 from ffax.enumeration import brute_force_all_xps
 from ffax.errors import CapabilityError, CapacityError, ContractError
 from ffax.model import (
@@ -70,6 +71,27 @@ def test_cell_representatives_lie_in_their_cells(adult_model):
     assert cells.cell_of(fid, 40.0000001) == 1
     assert cells.cell_of(fid, 45.0) == 1
     assert cells.cell_of(fid, 99.0) == 2
+
+
+@st.composite
+def grid_models(draw):
+    """A tree ensemble (k = 2 or 3) over ordinal, categorical and boolean features."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    space = random_space(rng, draw(st.integers(1, 5)))
+    return random_ensemble(
+        rng, space, n_trees=rng.randint(1, 6), depth=rng.randint(1, 3),
+        k=draw(st.sampled_from((2, 3))),
+    )
+
+
+@given(grid_models())
+def test_class_grid_matches_evaluate_at_every_cell(model):
+    # class_grid walks the compiled trees, the same ones the branch and bound
+    # walks; evaluate walks the model's own, so a compile error shows up here
+    cells = CellSystem(model)
+    grid = class_grid(cells, {})
+    for index in product(*map(range, cells.sizes)):
+        assert grid[index] == evaluate(model, Instance(values=cells.cell_point(index))).class_id
 
 
 # --- decide_sufficiency -------------------------------------------------------
