@@ -9,10 +9,8 @@ as the enumeration loop makes them, and every answer must equal the recorded
 one. A checkout without the state class replays each call statelessly, so
 the same script measures the engine before the state existed.
 
-Prints one JSON object: the calls, the replay time per call (the median of
-``--repeats`` replays), and the split between calls that greedy answered and
-calls that fell back to the exact search. The enumerations themselves are
-not timed. Examples:
+Prints one JSON object: the calls and the replay time per call (the median of
+``--repeats`` replays). The enumerations themselves are not timed. Examples:
 
     python scripts/replay_hitting_sets.py --interop 4,7 --mode axp-first
     python scripts/replay_hitting_sets.py --pin 2254 --mode cxp-first
@@ -76,35 +74,18 @@ def record(runs, mode):
 
 
 def replay(recorded):
-    """Seconds spent in, and count of, the calls greedy answered and those that
-    fell back to the exact search. Checks every answer."""
+    """Seconds spent in the replayed ``minimal_hs`` calls. Checks every answer."""
     state_class = getattr(enumeration, "_HittingSets", None)
-    original_exact = enumeration._exact_hs
-    went_exact = False
-
-    def exact(*args):
-        nonlocal went_exact
-        went_exact = True
-        return original_exact(*args)
-
-    spent = {"greedy": 0.0, "exact": 0.0}
-    counts = {"greedy": 0, "exact": 0}
-    enumeration._exact_hs = exact
-    try:
-        for calls in recorded:
-            extra = {} if state_class is None else {"_state": state_class(calls[0][2])}
-            for to_hit, blocked, m, expected in calls:
-                went_exact = False
-                start = time.perf_counter()
-                answer = enumeration.minimal_hs(to_hit, blocked, m, **extra)
-                path = "exact" if went_exact else "greedy"
-                spent[path] += time.perf_counter() - start
-                counts[path] += 1
-                if answer != expected:
-                    raise SystemExit(f"replayed answer {answer} differs from recorded {expected}")
-    finally:
-        enumeration._exact_hs = original_exact
-    return spent, counts
+    spent = 0.0
+    for calls in recorded:
+        extra = {} if state_class is None else {"_state": state_class(calls[0][2])}
+        for to_hit, blocked, m, expected in calls:
+            start = time.perf_counter()
+            answer = enumeration.minimal_hs(to_hit, blocked, m, **extra)
+            spent += time.perf_counter() - start
+            if answer != expected:
+                raise SystemExit(f"replayed answer {answer} differs from recorded {expected}")
+    return spent
 
 
 def main() -> int:
@@ -124,23 +105,17 @@ def main() -> int:
         rows = [int(x) for x in args.interop.split(",")]
         runs, name = interop_runs(rows), f"interop rows {rows}"
     recorded = record(runs, args.mode)
-    replays = [replay(recorded) for _ in range(args.repeats)]
-    totals = [spent["greedy"] + spent["exact"] for spent, _ in replays]
-    middle, counts = replays[totals.index(statistics.median_low(totals))]
-    total, calls = sum(middle.values()), sum(counts.values())
+    totals = [replay(recorded) for _ in range(args.repeats)]
+    total, calls = statistics.median_low(totals), sum(map(len, recorded))
     print(json.dumps({
         "source": name,
         "mode": args.mode,
         "stateful": hasattr(enumeration, "_HittingSets"),
         "python": platform.python_version(),
         "calls": calls,
-        "greedy_calls": counts["greedy"],
-        "exact_calls": counts["exact"],
         "replay_s": round(total, 4),
         "replay_s_each": [round(t, 4) for t in totals],
         "us_per_call": round(1e6 * total / calls, 1),
-        "greedy_us_per_call": round(1e6 * middle["greedy"] / max(counts["greedy"], 1), 1),
-        "exact_us_per_call": round(1e6 * middle["exact"] / max(counts["exact"], 1), 1),
     }, indent=1))
     return 0
 

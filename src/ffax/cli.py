@@ -193,6 +193,11 @@ def _verify_row(loaded, args: argparse.Namespace, model, row: int, v: Instance):
                 f"row {row}: the report explains class {loaded.class_id}, the row predicts {c}"
             )
         axps, cxps = loaded.axps, loaded.cxps
+        m = model.space.m
+        if any(fid >= m for s in axps + cxps for fid in s):
+            raise DataMismatchError(
+                f"row {row}: the report names feature ids outside the model's 0..{m - 1}"
+            )
     else:
         report = enumerate_explanations(model, v, mode=args.mode, order=args.order)
         axps, cxps = report.axp_sets(), report.cxp_sets()

@@ -11,7 +11,9 @@ explanation extracted from its complement. When no candidate exists the
 report is complete and certified by duality. The collected families only
 grow during a run, so the loop keeps one hitting-set state (``_HittingSets``)
 that holds them as bitmasks and converts only the sets added since the last
-candidate; every candidate is the one a stateless call would return.
+candidate; every candidate is the one a stateless call would return. The
+engine is one exact search whose first solution is shrunk to a minimal
+hitting set.
 
 The loop is anytime: wall-clock, explanation-count, and oracle-call budgets
 stop it between oracle calls, so every recorded explanation is fully
@@ -133,15 +135,14 @@ def minimal_hs(
     """A subset-minimal hitting set of ``to_hit`` that contains no blocked set.
 
     Sets are ``int`` bitmasks inside. An id is forbidden when adding it would
-    complete a blocked set. Greedy growth takes the id that hits the most
-    un-hit sets, ties to the lowest id, forbidden ids skipped. When it gets
-    stuck, an exact depth-first search takes over: it branches in ascending id
-    order on the un-hit set with the fewest non-forbidden options (then the
-    fewest elements, then the lexicographically smallest option list). The
-    result is shrunk by dropping ids in ascending order while it still hits
-    everything; subsets of non-supersets are non-supersets, so shrinking cannot
-    re-introduce a blocked set. Returns None iff no hitting set avoids the
-    blocked sets.
+    complete a blocked set. One exact depth-first search (``_exact_hs``) finds
+    a hitting set that contains no blocked set: at each node it branches, in
+    ascending id order, on the un-hit set with the fewest non-forbidden options
+    (then the fewest elements, then the lexicographically smallest option
+    list), and its first solution is the candidate. The candidate is shrunk by
+    dropping ids in ascending order while it still hits everything; subsets of
+    non-supersets are non-supersets, so shrinking cannot re-introduce a
+    blocked set. Returns None iff no hitting set avoids the blocked sets.
 
     The search is complete: a node fails exactly when no valid hitting set
     contains its chosen ids. Two prunes use that and cut only empty subtrees.
@@ -165,11 +166,9 @@ def minimal_hs(
     if state.empty:
         return None  # everything contains the empty set, which nothing hits
     rows = state.rows
-    candidate = _greedy_hs(state.cols, state.singles, state.blocks_with, len(rows))
+    candidate = _exact_hs(rows, state.singles, state.blocks_with)
     if candidate is None:
-        candidate = _exact_hs(rows, state.singles, state.blocks_with)
-        if candidate is None:
-            return None
+        return None
     for fid in _ids(candidate):
         trial = candidate & ~(1 << fid)
         if all(s & trial for s, _ in rows):
@@ -180,8 +179,7 @@ def minimal_hs(
 class _HittingSets:
     """The masks of a to-hit and a blocked family that only ever grow.
 
-    ``rows`` holds each to-hit set as ``(mask, popcount)``; bit ``i`` of
-    ``cols[fid]`` is set when the ``i``-th to-hit set holds ``fid``;
+    ``rows`` holds each to-hit set as ``(mask, popcount)``;
     ``blocks_with[fid]`` lists the masks of the blocked sets that hold
     ``fid``, and ``singles`` the ids that are a blocked set on their own.
     ``empty`` is set once either family holds the empty set.
@@ -191,7 +189,6 @@ class _HittingSets:
         self.m = m
         self.universe = frozenset(range(m))
         self.rows: list[tuple[int, int]] = []
-        self.cols = [0] * m
         self.blocks_with: list[list[int]] = [[] for _ in range(m)]
         self.singles = 0
         self.empty = False
@@ -208,11 +205,7 @@ class _HittingSets:
         for s in new_hit:
             if not s <= self.universe:
                 raise ContractError(f"set {sorted(s)} outside feature universe 0..{m - 1}")
-        cols = self.cols
         for s in new_hit:
-            bit = 1 << len(self.rows)
-            for fid in s:
-                cols[fid] |= bit
             mask = _mask(s)
             self.rows.append((mask, mask.bit_count()))
             self.empty |= not mask
@@ -239,32 +232,6 @@ def _ids(mask: int) -> list[int]:
         ids.append(low.bit_length() - 1)
         mask ^= low
     return ids
-
-
-def _forbid(forbidden: int, chosen: int, blocks: Iterable[int]) -> int:
-    """``forbidden`` plus each id that is the one unchosen element of a block."""
-    for b in blocks:
-        rest = b & ~chosen
-        if not rest & (rest - 1):
-            forbidden |= rest
-    return forbidden
-
-
-def _greedy_hs(cols: list[int], forbidden: int, blocks_with: list[list[int]], n: int) -> int | None:
-    # unhit is a mask over the n to-hit sets, in the bit order of cols
-    chosen, unhit = 0, (1 << n) - 1
-    while unhit:
-        best, best_fid = 0, None
-        for fid, col in enumerate(cols):
-            count = (col & unhit).bit_count()
-            if count > best and not forbidden >> fid & 1:
-                best, best_fid = count, fid
-        if best_fid is None:
-            return None
-        chosen |= 1 << best_fid
-        forbidden = _forbid(forbidden, chosen, blocks_with[best_fid])
-        unhit &= ~cols[best_fid]
-    return chosen
 
 
 def _exact_hs(

@@ -542,6 +542,11 @@ def read_enumeration_report(text: str) -> LoadedReport:
     for key in ("axps", "cxps"):
         if not isinstance(doc[key], list) or not all(isinstance(s, list) for s in doc[key]):
             raise ParseError("must be a list of feature-id lists", f"report {key}")
+        for fid in (fid for s in doc[key] for fid in s):
+            if not isinstance(fid, int) or isinstance(fid, bool) or fid < 0:
+                raise ParseError(
+                    f"expected a non-negative feature id, got {fid!r}", f"report {key}"
+                )
     return LoadedReport(
         class_id=doc["class_id"],
         class_name=doc.get("class_name"),

@@ -308,6 +308,29 @@ def test_verify_report_for_another_row_exits_5(tmp_path, adult_two_rows, capsys)
     assert "row 0: the report explains class" in capsys.readouterr().err
 
 
+def test_verify_report_naming_features_outside_the_model_exits_5(
+    tmp_path, adult_two_rows, capsys, monkeypatch
+):
+    io_flags = adult_two_rows
+    report = tmp_path / "row0.json"
+    assert main(["enumerate", *io_flags, "--rows", "0", "--output", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    m = len(json.loads((ADULT / "feature_space.json").read_text())["features"])
+
+    def refuse(*args):
+        raise AssertionError("the report's sets reached the checks")
+
+    monkeypatch.setattr("ffax.cli.brute_force_all_xps", refuse)
+    monkeypatch.setattr("ffax.cli.check_duality", refuse)
+    for key, fid in (("axps", m), ("cxps", 10**9)):
+        bad = {**doc, key: doc[key] + [[fid]]}
+        report.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(["verify", *io_flags, "--rows", "0", "--report", str(report)]) == 5
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: row 0: the report names"), err
+
+
 def test_non_finite_leaf_exits_2(constant_inputs, capsys):
     model = {"classes": ["f", "t"], "trees": [{"class": 1, "root": {"leaf": float("nan")}}]}
     (constant_inputs / "model.json").write_text(json.dumps(model))
@@ -427,6 +450,9 @@ _REPORT = {
      [], "tree 0"),
     ("verify", {"report.json": _REPORT}, ["--report", "report.json"], "class_id"),
     ("verify", {"report.json": [_REPORT]}, ["--report", "report.json"], "report"),
+    *(("verify", {"report.json": {**_REPORT, "class_id": 1, key: [[fid]]}},
+       ["--report", "report.json"], f"report {key}")
+      for key, fid in (("axps", [0]), ("axps", "a"), ("cxps", 1.5), ("cxps", True), ("axps", -1))),
     ("compare", {"ref.json": {"format": "attribution/1", "features": ["a", "b"]}},
      ["--reference", "ref.json"], "entries"),
     ("attribute", {"rows.csv": "a,b\n"}, ["--grid", "2x1", "--matrix-out", "m.txt"], "--grid"),
@@ -434,7 +460,9 @@ _REPORT = {
     "space-entry-not-object", "space-lo-not-number", "le-without-threshold",
     "threshold-not-number", "leaf-not-number", "base-score-not-number",
     "in-values-not-list", "dump-children-not-objects",
-    "report-without-class-id", "report-is-array", "reference-without-entries",
+    "report-without-class-id", "report-is-array",
+    "report-id-is-list", "report-id-is-string", "report-id-is-float", "report-id-is-bool",
+    "report-id-is-negative", "reference-without-entries",
     "grid-over-no-rows",
 ])
 def test_malformed_document_exits_2(tmp_path, monkeypatch, capsys, command, docs, extra, where):
