@@ -9,8 +9,11 @@ as the enumeration loop makes them, and every answer must equal the recorded
 one. A checkout without the state class replays each call statelessly, so
 the same script measures the engine before the state existed.
 
-Prints one JSON object: the calls and the replay time per call (the median of
-``--repeats`` replays). The enumerations themselves are not timed. Examples:
+Prints one JSON object: the calls, the median and the minimum of ``--repeats``
+replay times, and the time per call from the median. Replays of one recording
+spread widely, and the minimum, the replay least disturbed by the rest of the
+machine, is the steadier figure to compare. The enumerations themselves are
+not timed. Examples:
 
     python scripts/replay_hitting_sets.py --interop 4,7 --mode axp-first
     python scripts/replay_hitting_sets.py --pin 2254 --mode cxp-first
@@ -114,6 +117,7 @@ def main() -> int:
         "python": platform.python_version(),
         "calls": calls,
         "replay_s": round(total, 4),
+        "replay_s_min": round(min(totals), 4),
         "replay_s_each": [round(t, 4) for t in totals],
         "us_per_call": round(1e6 * total / calls, 1),
     }, indent=1))

@@ -174,10 +174,7 @@ def _attribute_row(args: argparse.Namespace, model, row: int, v: Instance) -> li
         vec = maker(axps, m, complete=report.complete)
         entry = {"row": row, "class_id": report.class_id, "vector": vec}
         if kind == "ffa" and args.checkpoints:
-            exact = attr.ffa(axps, m, complete=report.complete)
-            entry["convergence"] = attr.convergence_series(
-                report, exact, args.checkpoints
-            )
+            entry["convergence"] = attr.convergence_series(report, vec, args.checkpoints)
         entries.append(entry)
     return entries
 
@@ -264,8 +261,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_attribute(args: argparse.Namespace) -> int:
-    if args.grid is not None and args.matrix_out is None:
-        raise ParseError("--grid needs --matrix-out")
+    if (args.grid is None) != (args.matrix_out is None):
+        raise ParseError("--grid and --matrix-out go together: --grid lays out the --matrix-out file")
+    if args.checkpoints is not None and args.kind == "wffa":
+        raise ParseError("--checkpoints needs --kind ffa or both: the series is of ffa vectors")
     space, per_row = _run_rows(args, _attribute_row)
     entries = [entry for row_entries in per_row for entry in row_entries]
     if args.grid is not None and not entries:
@@ -393,8 +392,8 @@ def _add_io_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--space", required=True, help="feature-space document")
     p.add_argument("--instances", required=True, help="instances CSV")
     p.add_argument("--rows", type=_rows, default=None, help="row selector, e.g. 0,2-4 (default: all)")
-    p.add_argument("--classes", type=_names, default="0,1", help="class names for dump models")
-    p.add_argument("--base-score", type=float, default=None, help="dump score offset")
+    p.add_argument("--classes", type=_names, default=None, help="class names of a dump model (default: 0,1)")
+    p.add_argument("--base-score", type=float, default=None, help="score offset of a dump model")
     p.add_argument("--order", type=_int_list, default=None, help="feature-id permutation for scan order")
     p.add_argument("--output", default=None, help="write the document here (default: stdout)")
     p.add_argument("--workers", type=int, default=1, help="shard instances across processes")

@@ -365,18 +365,18 @@ def _holds(kind, model, v, c, features: frozenset[int], clock: _Clock | None, mo
     """Does ``features`` hold as ``kind``? The answer and the last counterexample's ``moved``.
 
     An AXp set holds when fixing it forces ``c``, a CXp set when freeing it
-    admits a class change. A set holds as one kind iff its complement fails
-    as the other. ``moved`` holds the features where an earlier
-    counterexample differs from ``v``; if all of them are free, that
-    counterexample is one here too, and "a flip exists" needs no oracle call.
+    (fixing its complement) admits a class change. A set holds as one kind
+    iff its complement fails as the other. ``moved`` holds the features where
+    an earlier counterexample differs from ``v``; if none of them is fixed,
+    that counterexample is one here too, and "a flip exists" needs no oracle call.
     Otherwise one oracle call decides, and a counterexample it finds
     replaces ``moved``.
     """
-    free = features if kind == CXP else model.space.all_features() - features
-    if moved is None or not moved <= free:
+    fixed = features if kind == AXP else model.space.all_features() - features
+    if moved is None or not moved.isdisjoint(fixed):
         if clock is not None:
             clock.before_call()
-        found = _find_counterexample_unchecked(model, v, c, free)
+        found = _find_counterexample_unchecked(model, v, c, fixed)
         if found is None:
             return kind == AXP, moved
         moved = frozenset(fid for fid, x in enumerate(v.values) if found.values[fid] != x)
@@ -557,9 +557,16 @@ def check_duality(
     violation = first_violation("axp", axps, cxps) or first_violation("cxp", cxps, axps)
     if violation is not None:
         return violation
-    m = 1 + max((fid for s in axps + cxps for fid in s), default=-1)
+    # the ids that occur, renamed 0..n-1 in ascending order: the search's
+    # answer is the same up to the renaming, and its size follows the input
+    ids = sorted({fid for s in axps + cxps for fid in s})
+    index = {fid: i for i, fid in enumerate(ids)}
+
+    def renamed(sets):
+        return [frozenset(index[fid] for fid in s) for s in sets]
+
     for side, sets, duals in (("axp", axps, cxps), ("cxp", cxps, axps)):
-        missing = minimal_hs(duals, sets, m)
+        missing = minimal_hs(renamed(duals), renamed(sets), len(ids))
         if missing is not None:
-            return DualityViolation(side, missing, None, "unreported")
+            return DualityViolation(side, frozenset(ids[i] for i in missing), None, "unreported")
     return None

@@ -140,24 +140,30 @@ def _resolve_fid(space: FeatureSpace, name, where: str) -> int:
 def parse_ensemble_dump(
     text: str,
     space: FeatureSpace,
-    class_names: Sequence[str] = ("0", "1"),
+    class_names: Sequence[str] | None = None,
     base_score: float | Sequence[float] | None = None,
 ) -> TreeEnsemble:
     """Parse either a toolkit tree-dump array or a canonical model object.
 
-    Dump arrays assign trees to classes round-robin; canonical documents
-    carry explicit class tags instead.
+    Dump arrays assign trees to classes round-robin, named ``class_names``
+    (default ``("0", "1")``) and offset by ``base_score``; canonical
+    documents carry their class tags, names and base scores, and refuse both.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"model is not valid JSON: {exc}") from None
     if isinstance(doc, dict):
+        for given, what in ((class_names, "class names"), (base_score, "base scores")):
+            if given is not None:
+                raise ParseError(f"{what} are given for a model dump only; a canonical model carries its own")
         return _parse_canonical_model(doc, space)
     if not isinstance(doc, list):
         raise ParseError("model document must be a JSON array (dump) or object (canonical)")
     if not doc:
         raise ParseError("no trees in model dump")
+    if class_names is None:
+        class_names = ("0", "1")
     k = len(class_names)
     if k < 2:
         raise ParseError("need at least two class names")
@@ -537,6 +543,13 @@ def read_enumeration_report(text: str) -> LoadedReport:
             raise ParseError(f"report lacks {key!r}")
     if not isinstance(doc["class_id"], int) or isinstance(doc["class_id"], bool):
         raise ParseError(f"must be an integer, got {doc['class_id']!r}", "report class_id")
+    if doc["mode"] not in ("cxp-first", "axp-first"):
+        raise ParseError(f"must be 'cxp-first' or 'axp-first', got {doc['mode']!r}", "report mode")
+    if not isinstance(doc["complete"], bool):
+        raise ParseError(f"must be true or false, got {doc['complete']!r}", "report complete")
+    calls = doc["oracle_calls"]
+    if not isinstance(calls, int) or isinstance(calls, bool) or calls < 0:
+        raise ParseError(f"must be a non-negative integer, got {calls!r}", "report oracle_calls")
     if not isinstance(doc["instance"], dict) or not isinstance(doc["instance"].get("values"), list):
         raise ParseError("needs a 'values' list", "report instance")
     for key in ("axps", "cxps"):

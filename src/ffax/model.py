@@ -316,7 +316,7 @@ class LinearModel:
         return 2
 
     def score(self, values: Sequence) -> float:
-        # Ascending-id accumulation; the linear oracle reproduces this order.
+        # Ascending-id accumulation; the linear oracle scores its extreme points here.
         s = self.bias
         for fid, w in enumerate(self.weights):
             v = values[fid]

@@ -235,13 +235,12 @@ class _TreeOracle:
             for fid, size in enumerate(cells.sizes)
         )
 
-    def find_class_change(self, v: Instance, c: int, free) -> Instance | None:
-        """A domain-valid x agreeing with v outside ``free`` with class != c.
+    def find_class_change(self, v: Instance, c: int, fixed) -> Instance | None:
+        """A domain-valid x agreeing with v on ``fixed`` with class != c.
 
         x keeps v's exact value on every feature whose cell lies in the
-        witness box's domain, free or not (see the module docstring).
+        witness box's domain, fixed or free (see the module docstring).
         """
-        fixed = frozenset(range(self.model.space.m)) - frozenset(free)
         box = self.box_for(v, fixed)
         # (pos, neg, strict): a flip needs max(pos - neg) >= 0, or > 0 if strict
         if not self.model.single_score:  # ties go to the lower class id
@@ -301,31 +300,26 @@ def _tree_oracle(model: Model) -> _TreeOracle:
 def _linear_extreme(model: LinearModel, v: Instance, fixed, want_max: bool) -> tuple[float, list]:
     """Extreme score over completions, with the achieving point's values.
 
-    Ascending-id accumulation reproduces LinearModel.score exactly, so the
-    returned float equals evaluate() at the returned point.
+    Each free feature takes its extreme endpoint, and the point is scored by
+    ``model.score``, the very sum that evaluate() makes there.
     """
     values = []
-    s = model.bias
     for fid, spec in enumerate(model.space.features):
-        w = model.weights[fid]
         if fid in fixed:
-            x = v.values[fid]
-            xnum = (1.0 if x else 0.0) if spec.kind == BOOLEAN else float(x)
-            values.append(x)
-            s += w * xnum
+            values.append(v.values[fid])
             continue
+        w = model.weights[fid]
         lo, hi = (0.0, 1.0) if spec.kind == BOOLEAN else (spec.lo, spec.hi)
         lo_c, hi_c = w * lo, w * hi
         pick_hi = hi_c > lo_c if want_max else hi_c < lo_c
         x = hi if pick_hi else lo
         values.append(bool(x) if spec.kind == BOOLEAN else x)
-        s += w * float(x)
-    return s, values
+    return model.score(values), values
 
 
-def _linear_counterexample(model: LinearModel, v: Instance, c: int, free) -> Instance | None:
+def _linear_counterexample(model: LinearModel, v: Instance, c: int, fixed) -> Instance | None:
     """Closed form: each free feature takes its adversarial endpoint."""
-    worst, point = _linear_extreme(model, v, model.space.all_features() - free, want_max=c != 1)
+    worst, point = _linear_extreme(model, v, fixed, want_max=c != 1)
     flips = worst < 0.0 if c == 1 else worst >= 0.0
     return Instance(values=tuple(point)) if flips else None
 
@@ -372,15 +366,17 @@ def find_counterexample(
     docstring).
     """
     _check_predicted(model, v, c)
-    return _find_counterexample_unchecked(model, v, c, _check_features(model, free))
+    fixed = model.space.all_features() - _check_features(model, free)
+    return _find_counterexample_unchecked(model, v, c, fixed)
 
 
 def _find_counterexample_unchecked(
-    model: Model, v: Instance, c: int, free: frozenset[int]
+    model: Model, v: Instance, c: int, fixed: frozenset[int]
 ) -> Instance | None:
+    """``find_counterexample`` by the features it fixes, on inputs already checked."""
     if isinstance(model, LinearModel):
-        return _linear_counterexample(model, v, c, free)
-    return _tree_oracle(model).find_class_change(v, c, free)
+        return _linear_counterexample(model, v, c, fixed)
+    return _tree_oracle(model).find_class_change(v, c, fixed)
 
 
 def decide_sufficiency(
@@ -388,11 +384,8 @@ def decide_sufficiency(
 ) -> SufficiencyResult:
     """Does fixing ``subset`` to v's values force class c over the whole space?"""
     _check_predicted(model, v, c)
-    free = model.space.all_features() - _check_features(model, subset)
-    witness = _find_counterexample_unchecked(model, v, c, free)
-    if witness is None:
-        return SufficiencyResult(sufficient=True)
-    return SufficiencyResult(sufficient=False, witness=witness)
+    witness = _find_counterexample_unchecked(model, v, c, _check_features(model, subset))
+    return SufficiencyResult(sufficient=witness is None, witness=witness)
 
 
 def score_bounds(

@@ -453,17 +453,31 @@ _REPORT = {
     *(("verify", {"report.json": {**_REPORT, "class_id": 1, key: [[fid]]}},
        ["--report", "report.json"], f"report {key}")
       for key, fid in (("axps", [0]), ("axps", "a"), ("cxps", 1.5), ("cxps", True), ("axps", -1))),
+    *(("verify", {"report.json": {**_REPORT, "class_id": 1, key: value}},
+       ["--report", "report.json"], f"report {key}")
+      for key, value in (("mode", 5), ("mode", "both"), ("complete", "yes"), ("complete", 1),
+                         ("oracle_calls", "many"), ("oracle_calls", -1), ("oracle_calls", True))),
     ("compare", {"ref.json": {"format": "attribution/1", "features": ["a", "b"]}},
      ["--reference", "ref.json"], "entries"),
     ("attribute", {"rows.csv": "a,b\n"}, ["--grid", "2x1", "--matrix-out", "m.txt"], "--grid"),
+    # options that a canonical model or the chosen output would silently ignore
+    ("explain", {}, ["--base-score", "100"], "base scores"),
+    ("explain", {}, ["--classes", "no,yes"], "class names"),
+    ("attribute", {}, ["--kind", "wffa", "--checkpoints", "1,2"], "--checkpoints"),
+    ("attribute", {}, ["--matrix-out", "m.txt"], "--matrix-out"),
 ], ids=[
     "space-entry-not-object", "space-lo-not-number", "le-without-threshold",
     "threshold-not-number", "leaf-not-number", "base-score-not-number",
     "in-values-not-list", "dump-children-not-objects",
     "report-without-class-id", "report-is-array",
     "report-id-is-list", "report-id-is-string", "report-id-is-float", "report-id-is-bool",
-    "report-id-is-negative", "reference-without-entries",
-    "grid-over-no-rows",
+    "report-id-is-negative",
+    "report-mode-is-number", "report-mode-unknown", "report-complete-is-string",
+    "report-complete-is-number", "report-calls-is-string", "report-calls-is-negative",
+    "report-calls-is-bool",
+    "reference-without-entries", "grid-over-no-rows",
+    "canonical-model-with-base-score", "canonical-model-with-classes",
+    "checkpoints-with-wffa-only", "matrix-out-without-grid",
 ])
 def test_malformed_document_exits_2(tmp_path, monkeypatch, capsys, command, docs, extra, where):
     monkeypatch.chdir(tmp_path)

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ffax import enumeration
 from ffax.enumeration import (
     AXP,
     CXP,
@@ -678,6 +679,23 @@ def test_check_duality_ok_and_violation():
     unreported = check_duality([{1, 3}, {2, 4}], [{1, 2}, {3, 4}])
     assert unreported == DualityViolation("axp", frozenset({1, 4}), None, "unreported")
     assert check_duality([frozenset()], []) is None  # constant prediction
+
+
+def test_check_duality_sizes_its_search_by_the_ids_that_occur(monkeypatch):
+    original = enumeration.minimal_hs
+    universes = []
+
+    def recording(to_hit, blocked, m, **kwargs):
+        universes.append(m)
+        assert m <= 4, "the search was sized by the largest id"
+        return original(to_hit, blocked, m, **kwargs)
+
+    monkeypatch.setattr(enumeration, "minimal_hs", recording)
+    assert check_duality([frozenset({10**6})], [frozenset({10**6})]) is None
+    assert universes == [1, 1]
+    # the same unreported AXp as {1, 4} in the test above, under far-off ids
+    unreported = check_duality([{10, 30}, {20, 10**6}], [{10, 20}, {30, 10**6}])
+    assert unreported == DualityViolation("axp", frozenset({10, 10**6}), None, "unreported")
 
 
 def test_enumeration_soundness_fuzz(rng):

@@ -131,6 +131,11 @@ def test_canonical_model_errors(adult_space):
     }
     with pytest.raises(ParseError, match="unknown categorical value 'Masters'"):
         formats.parse_ensemble_dump(json.dumps(doc), adult_space)
+    canonical = json.dumps({**doc, "trees": [{"class": 1, "root": {"leaf": 0}}]})
+    with pytest.raises(ParseError, match="class names are given for a model dump only"):
+        formats.parse_ensemble_dump(canonical, adult_space, class_names=("a", "b"))
+    with pytest.raises(ParseError, match="base scores are given for a model dump only"):
+        formats.parse_ensemble_dump(canonical, adult_space, base_score=0.0)
 
 
 def test_multiclass_dump_round_robin(adult_space):
