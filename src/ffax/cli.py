@@ -335,11 +335,26 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _float_list(text: str) -> tuple[float, ...]:
+def _marks(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(x) for x in text.split(","))
+        marks = tuple(float(x) for x in text.split(","))
+        if not all(0 <= mark < math.inf for mark in marks):
+            raise ValueError("mark out of range")
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated finite numbers >= 0, got {text!r}"
+        ) from None
+    return marks
+
+
+def _workers(text: str) -> int:
+    try:
+        workers = int(text)
+        if workers < 1:
+            raise ValueError("no worker")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a worker count >= 1, got {text!r}") from None
+    return workers
 
 
 def _rows(text: str) -> tuple[int, ...]:
@@ -396,7 +411,7 @@ def _add_io_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--base-score", type=float, default=None, help="score offset of a dump model")
     p.add_argument("--order", type=_int_list, default=None, help="feature-id permutation for scan order")
     p.add_argument("--output", default=None, help="write the document here (default: stdout)")
-    p.add_argument("--workers", type=int, default=1, help="shard instances across processes")
+    p.add_argument("--workers", type=_workers, default=1, help="shard instances across processes")
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
@@ -434,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     _add_budget_flags(p)
     p.add_argument("--kind", choices=("ffa", "wffa", "both"), default="ffa")
-    p.add_argument("--checkpoints", type=_float_list, default=None, help="budget marks, e.g. 1,2,5")
+    p.add_argument("--checkpoints", type=_marks, default=None, help="budget marks, e.g. 1,2,5")
     p.add_argument("--grid", type=_grid, default=None, help="ROWSxCOLS layout for the matrix export")
     p.add_argument("--matrix-out", default=None, help="matrix document path")
 

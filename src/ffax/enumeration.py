@@ -7,8 +7,11 @@ minimal hitting sets, and the enumeration loop exploits that: it repeatedly
 asks the hitting-set engine for a new candidate (a minimal hitting set of the
 collected duals that is not a superset of any collected target), tests the
 candidate with the exact oracle, and records either the candidate or a dual
-explanation extracted from its complement. When no candidate exists the
-report is complete and certified by duality. The collected families only
+explanation extracted from its complement. The extraction uses the duality
+too: it skips, without an oracle call, every trial that misses a collected
+explanation of the other kind (interop rows 4, 7 and 8 to completion,
+cxp-first: 11,270 oracle calls instead of 13,523). When no candidate exists
+the report is complete and certified by duality. The collected families only
 grow during a run, so the loop keeps one hitting-set state (``_HittingSets``)
 that holds them as bitmasks and converts only the sets added since the last
 candidate; every candidate is the one a stateless call would return. The
@@ -300,9 +303,10 @@ def extract_axp(
     _clock: _Clock | None = None,
     _verify_seed: bool = True,
     _moved: frozenset[int] | None = None,
+    _targets: list[list[int]] | None = None,
 ) -> frozenset[int]:
     """Deletion-based shrink of a sufficient ``seed`` to an AXp; see ``_extract``."""
-    return _extract(AXP, model, v, c, seed, order, _clock, _verify_seed, _moved)
+    return _extract(AXP, model, v, c, seed, order, _clock, _verify_seed, _moved, _targets)
 
 
 def extract_cxp(
@@ -314,6 +318,7 @@ def extract_cxp(
     _clock: _Clock | None = None,
     _verify_seed: bool = True,
     _moved: frozenset[int] | None = None,
+    _targets: list[list[int]] | None = None,
 ) -> frozenset[int]:
     """Deletion-based shrink of a class-changing free ``seed`` to a CXp; see ``_extract``.
 
@@ -321,7 +326,7 @@ def extract_cxp(
     ``_moved`` (a subset of ``seed``), decides every trial that drops a
     feature where it has ``v``'s value, so those trials cost no oracle call.
     """
-    return _extract(CXP, model, v, c, seed, order, _clock, _verify_seed, _moved)
+    return _extract(CXP, model, v, c, seed, order, _clock, _verify_seed, _moved, _targets)
 
 
 _SEED_ERRORS = {
@@ -330,7 +335,7 @@ _SEED_ERRORS = {
 }
 
 
-def _extract(kind, model, v, c, seed, order, clock, verify_seed, moved) -> frozenset[int]:
+def _extract(kind, model, v, c, seed, order, clock, verify_seed, moved, targets) -> frozenset[int]:
     """Deletion-based shrink of a ``seed`` that holds as ``kind`` to a minimal one.
 
     The enumeration loop extracts its duals with it. Features are scanned in
@@ -347,17 +352,34 @@ def _extract(kind, model, v, c, seed, order, clock, verify_seed, moved) -> froze
     counterexample differs from ``v`` at the feature that trial kept (else
     the current set would not force ``c``), and that feature stays fixed in
     every later trial.
+
+    ``targets`` (the loop's ``_HittingSets.blocks_with``: the masks of the
+    collected explanations of the other kind, listed under each of their
+    ids) refutes a trial without an oracle call when some target meets the
+    current set only at the dropped feature. The current set holds, so it
+    meets every target; an AXp meets every CXp and a CXp every AXp, so a
+    trial that misses a target fails, and a failing trial keeps ``current``.
+    A skipped CXp trial would have found no counterexample, so ``moved`` is
+    kept as well; the counterexample of a skipped AXp trial would never have
+    decided a later AXp trial. So the result is the same and only calls are
+    saved: 2253 of the 13,523 calls of interop rows 4, 7 and 8 cxp-first,
+    and 488 of the 2662 of rows 4 and 7 axp-first.
     """
     current = frozenset(seed)
     if verify_seed:
         holds, moved = _holds(kind, model, v, c, current, clock, moved)
         if not holds:
             raise ContractError(_SEED_ERRORS[kind])
+    mask = _mask(current)
     for fid in _scan_order(current, order, model.space.m):
+        bit = 1 << fid
+        if targets is not None and any(t & mask == bit for t in targets[fid]):
+            continue  # the trial misses a collected target, which refutes it
         trial = current - {fid}
         holds, moved = _holds(kind, model, v, c, trial, clock, moved)
         if holds:
             current = trial
+            mask ^= bit
     return current
 
 
@@ -459,8 +481,8 @@ def enumerate_explanations(
                 record(target, candidate)
             else:  # the complement holds as a dual, so it contains a new one
                 record(dual, extract_dual(
-                    model, v, c, all_features - candidate, order,
-                    _clock=clock, _verify_seed=False, _moved=moved,
+                    model, v, c, all_features - candidate, order, _clock=clock,
+                    _verify_seed=False, _moved=moved, _targets=hitting_sets.blocks_with,
                 ))
     except BudgetExceeded:
         complete = False

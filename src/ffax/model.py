@@ -209,7 +209,7 @@ class TreeEnsemble:
     def k(self) -> int:
         return len(self.class_names)
 
-    @property
+    @cached_property
     def single_score(self) -> bool:
         """Binary one-score representation: sign of the class-1 sum decides."""
         return self.k == 2 and all(t.class_id == 1 for t in self.trees)

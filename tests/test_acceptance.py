@@ -181,33 +181,34 @@ def test_criterion_4_attribution_identities():
 # Twenty pinned fuzz models whose complete enumeration lands inside the 10-60 s
 # window, chosen by runtime alone (24 features x 16 trees) by
 # scripts/calibrate_convergence_pins.py --seeds 0:4000 on a 2-vCPU Intel Xeon
-# box under Python 3.11, after the hitting-set engine kept its state across a
-# run. It scanned seeds 0-1856 and kept each pin in its 17-35 s band both in
-# the scan and in a re-run of all twenty in one two-worker pool, in this map
-# order. The two times after each pin are its scan and that re-run. The box's
-# speed varied by up to 2x between hours. When a pin leaves the window, re-run
-# the script and paste its output here; do not widen the window.
+# box under Python 3.11, after dual extraction began to skip the trials that a
+# collected target refutes. It scanned seeds 0-2272 and kept each pin in its
+# 17-35 s band both in the scan and in a re-run of all twenty in one
+# two-worker pool, in this map order. The two times after each pin are its
+# scan and that re-run. One pin's time varied by up to 1.8x between the scan
+# and the re-run passes. When a pin leaves the window, re-run the script and
+# paste its output here; do not widen the window.
 CONVERGENCE_MODELS: tuple[tuple[int, int, int], ...] = (  # (seed, features, trees)
-    (79, 24, 16),  # 31.7 s, 22.8 s
-    (117, 24, 16),  # 31.7 s, 19.6 s
-    (276, 24, 16),  # 27.2 s, 20.3 s
-    (470, 24, 16),  # 31.7 s, 28.7 s
-    (500, 24, 16),  # 28.4 s, 25.2 s
-    (622, 24, 16),  # 31.1 s, 19.9 s
-    (912, 24, 16),  # 28.0 s, 22.2 s
-    (999, 24, 16),  # 28.1 s, 22.7 s
-    (1025, 24, 16),  # 31.0 s, 26.2 s
-    (1050, 24, 16),  # 32.6 s, 25.4 s
-    (1308, 24, 16),  # 34.0 s, 25.2 s
-    (1324, 24, 16),  # 19.2 s, 17.7 s
-    (1568, 24, 16),  # 17.2 s, 17.4 s
-    (1595, 24, 16),  # 21.0 s, 21.6 s
-    (1616, 24, 16),  # 30.0 s, 28.0 s
-    (1672, 24, 16),  # 23.0 s, 22.7 s
-    (1674, 24, 16),  # 25.1 s, 24.1 s
-    (1700, 24, 16),  # 27.8 s, 28.2 s
-    (1845, 24, 16),  # 25.4 s, 27.7 s
-    (1856, 24, 16),  # 18.5 s, 21.7 s
+    (146, 24, 16),  # 24.0 s, 29.8 s
+    (150, 24, 16),  # 25.7 s, 34.4 s
+    (470, 24, 16),  # 20.8 s, 27.4 s
+    (764, 24, 16),  # 20.9 s, 31.8 s
+    (1025, 24, 16),  # 21.0 s, 25.8 s
+    (1050, 24, 16),  # 18.0 s, 24.5 s
+    (1262, 24, 16),  # 26.5 s, 24.7 s
+    (1421, 24, 16),  # 19.2 s, 25.3 s
+    (1616, 24, 16),  # 20.7 s, 23.7 s
+    (1700, 24, 16),  # 21.0 s, 23.8 s
+    (1845, 24, 16),  # 17.1 s, 20.8 s
+    (1859, 24, 16),  # 32.9 s, 25.1 s
+    (1907, 24, 16),  # 24.3 s, 17.1 s
+    (1936, 24, 16),  # 26.6 s, 20.8 s
+    (1942, 24, 16),  # 32.6 s, 30.6 s
+    (2041, 24, 16),  # 26.2 s, 24.9 s
+    (2079, 24, 16),  # 27.3 s, 31.3 s
+    (2103, 24, 16),  # 27.9 s, 34.8 s
+    (2213, 24, 16),  # 18.7 s, 23.2 s
+    (2272, 24, 16),  # 17.9 s, 17.6 s
 )
 CONVERGENCE_MARKS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 

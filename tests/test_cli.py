@@ -284,6 +284,12 @@ def test_workers_shard_rows(tmp_path, adult_two_rows):
     ("attribute", "--rows", "5-3"),
     ("explain", "--order", "a,b"),
     ("attribute", "--checkpoints", "x"),
+    ("attribute", "--checkpoints", "nan,-1"),  # a NaN mark is not valid JSON
+    ("attribute", "--checkpoints", "1,inf"),
+    ("attribute", "--checkpoints", "-0.5"),
+    ("explain", "--workers", "0"),
+    ("enumerate", "--workers", "-3"),
+    ("explain", "--workers", "two"),
     ("attribute", "--grid", "3"),
 ])
 def test_malformed_flag_value_exits_2(command, flag, value, capsys):

@@ -203,6 +203,95 @@ def test_extract_matches_call_per_trial_reference(problem):
             assert got == expected and clock.calls < reference_calls
 
 
+# --- trials refuted by collected targets ----------------------------------------
+
+
+def _target_masks(targets, m):
+    """``blocks_with`` of a hitting-set state whose blocked family is ``targets``."""
+    state = _HittingSets(m)
+    state.absorb([], targets, m)
+    return state.blocks_with
+
+
+def test_a_trial_that_misses_a_collected_target_costs_no_oracle_call():
+    # conjunction: the AXp {0, 1} against the CXp's {0} and {1}; disjunction:
+    # the CXp {0, 1} against the AXp's {0} and {1}. Dropping an id from the
+    # seed misses the target that holds only it, so that trial fails uncalled.
+    v = Instance((True, True))
+    for model, extract in ((conjunction_model(), extract_axp), (disjunction_model(), extract_cxp)):
+        for targets, calls in (([], 2), ([{0}], 1), ([{0, 1}], 2), ([{0}, {1}], 0)):
+            clock = _Clock(Budget.unlimited())
+            got = extract(
+                model, v, 1, {0, 1}, _clock=clock, _verify_seed=False,
+                _targets=_target_masks([frozenset(t) for t in targets], 2),
+            )
+            assert (got, clock.calls) == (frozenset({0, 1}), calls)
+
+
+def test_extract_with_every_target_collected_calls_only_on_kept_drops(rng):
+    # With the whole other family as targets, every failing trial misses one of
+    # them, so the oracle answers only the seed check and the drops that hold.
+    for _ in range(60):
+        m = rng.randint(1, 7)
+        space = random_space(rng, m)
+        model = random_ensemble(rng, space, n_trees=rng.randint(1, 5), depth=rng.randint(1, 3))
+        v = random_instance(rng, space)
+        c = evaluate(model, v).class_id
+        axps, cxps = brute_force_all_xps(model, v, c)
+        order = rng.sample(range(m), m)
+        for kind, extract, targets in ((AXP, extract_axp, cxps), (CXP, extract_cxp, axps)):
+            reference = _reference_extract(kind, model, v, c, range(m), order)
+            if reference is None:
+                continue
+            expected, _ = reference
+            clock = _Clock(Budget.unlimited())
+            got = extract(model, v, c, range(m), order, _clock=clock, _targets=_target_masks(targets, m))
+            assert got == expected
+            dropped = m - len(got)
+            if kind == AXP:
+                assert clock.calls == 1 + dropped
+            else:  # the witness may decide some kept drops as well
+                assert clock.calls <= 1 + dropped
+
+
+def _without_targets(extract):
+    """``extract`` as it was before the loop handed it the collected targets."""
+
+    def reference(*args, _targets=None, **kwargs):
+        return extract(*args, **kwargs)
+
+    return reference
+
+
+def _events(report):
+    return [(e.kind, sorted(e.features), e.discovery_index) for e in report.events()]
+
+
+@pytest.mark.parametrize("mode", ["cxp-first", "axp-first"])
+def test_skipping_refuted_trials_moves_only_call_counts(
+    adult_model, adult_instance, interop, mode, monkeypatch
+):
+    runs = [(adult_model, adult_instance)] + [(interop[0], interop[1][row]) for row in (4, 7)]
+
+    def enumerate_all(budget):
+        return [enumerate_explanations(model, v, budget=budget, mode=mode) for model, v in runs]
+
+    budget = Budget(max_oracle_calls=1500)
+    complete, budgeted = enumerate_all(None), enumerate_all(budget)
+    # the reference: the same loop, extracting with a call on every trial
+    monkeypatch.setattr(enumeration, "extract_axp", _without_targets(extract_axp))
+    monkeypatch.setattr(enumeration, "extract_cxp", _without_targets(extract_cxp))
+    complete_ref, budgeted_ref = enumerate_all(None), enumerate_all(budget)
+
+    for got, ref in zip(complete, complete_ref):
+        assert got.complete and ref.complete
+        assert _events(got) == _events(ref)
+        assert all(g.oracle_calls <= r.oracle_calls for g, r in zip(got.events(), ref.events()))
+    assert sum(r.oracle_calls for r in complete) < sum(r.oracle_calls for r in complete_ref)
+    for got, ref in zip(budgeted, budgeted_ref):
+        assert _events(got)[: len(ref.events())] == _events(ref)
+
+
 # --- minimal_hs ------------------------------------------------------------------
 
 
@@ -573,16 +662,20 @@ def _report_digest(reports) -> str:
 # digests were re-pinned when minimal_hs dropped its greedy pre-pass: a call
 # that greedy used to answer now gets the exact search's first solution, so
 # the interop candidates, hence order and call counts, moved; complete runs
-# still find the same sets. The adult digests have not moved.
+# still find the same sets. Three were re-pinned again when dual extraction
+# began to skip the trials that a collected target refutes: only call counts
+# moved (adult cxp-first 15 -> 14 calls; under the 1500-call budget, interop
+# cxp-first records more events and axp-first row 4 completes in 1305 calls;
+# test_skipping_refuted_trials_moves_only_call_counts checks the rest).
 @pytest.mark.parametrize("source, mode, digest", [
     ("adult", "cxp-first",
-     "f4bb67789489d59c6f6f6019912b88a206d88914d8f6a356c892296ede2c0ca4"),
+     "2a223f2db3c81e762907772e0d4005faf31ba97c317492687919f15c6e180d3f"),
     ("adult", "axp-first",
      "9ec6cedc1c8ef60093b79b96ccdd93185db63eae510dcaf1e6c37f35ce1d77bb"),
     ("interop", "cxp-first",
-     "22d215342e2769ff95d06d2edbf410074f48258d08f99afb152edafd6276c1dc"),
+     "cd12e48a6f017313c1853b604ed098cec70bfade451c9b6bfc2d17557aa85766"),
     ("interop", "axp-first",
-     "8602d91976d868e2853eceaaf3e203219ef9a6b36c8dee05fc0389924baa17fa"),
+     "cf8aec6ce49da041473e4d0ab6d99c7f17ca0e867107815bb9da69454e2673d3"),
 ], ids=["adult-cxp-first", "adult-axp-first", "interop-cxp-first", "interop-axp-first"])
 def test_reports_are_pinned(adult_model, adult_instance, interop, source, mode, digest):
     if source == "adult":
@@ -616,8 +709,10 @@ def test_axp_first_discovery_order_is_pinned(complete_axp_first):
 
 def test_axp_first_call_totals_are_pinned(complete_axp_first):
     # interop row 7 was 1081 calls before minimal_hs dropped its greedy
-    # pre-pass; the exact search's first solutions cost it 14 fewer
-    assert [r.oracle_calls for r in complete_axp_first] == [9, 1595, 1067]
+    # pre-pass; the exact search's first solutions cost it 14 fewer. Rows 4
+    # and 7 took 1595 and 1067 calls before dual extraction skipped the
+    # trials that a collected target refutes.
+    assert [r.oracle_calls for r in complete_axp_first] == [9, 1305, 869]
 
 
 def test_enumerate_matches_brute_force_fuzz(rng):
