@@ -20,12 +20,12 @@ literal to paste over ``CONVERGENCE_MODELS``; the per-candidate log and a
 summary go to stderr.
 
 Re-run it when a change to the engine moves a pin out of the test's window,
-and record the result in CHANGES.md. In-band seeds are rare (about one in 60),
-and runs near a band edge drop out of re-run passes, so give it a wide seed
-range: seeds 0-1999 took about 80 minutes on two cores (seven re-run passes)
-and still ended with 18 of 20 pins. Example:
+and record the result in CHANGES.md. On the 32-feature x 24-tree grid about
+one seed in 11 is in band (34 of seeds 0-388), and runs near a band edge
+drop out of re-run passes (14 of those 34 did), so give it a wide seed range:
+seeds 0-388 took 59 minutes on two cores, with five re-run passes. Example:
 
-    python scripts/calibrate_convergence_pins.py --seeds 0:3000 --features 24 --trees 16
+    python scripts/calibrate_convergence_pins.py --seeds 0:3000 --features 32 --trees 24
 """
 
 import argparse
@@ -132,8 +132,8 @@ def int_list(text):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default="0:1000", help="seed range START:STOP, scanned in order")
-    parser.add_argument("--features", type=int_list, default=[24], help="comma-separated")
-    parser.add_argument("--trees", type=int_list, default=[16], help="comma-separated")
+    parser.add_argument("--features", type=int_list, default=[32], help="comma-separated")
+    parser.add_argument("--trees", type=int_list, default=[24], help="comma-separated")
     args = parser.parse_args()
     first, stop = (int(x) for x in args.seeds.split(":"))
 

@@ -2,12 +2,15 @@
 """Record the hitting-set calls of complete enumerations, then replay and time them.
 
 Runs complete enumerations, either of interop rows or of one criterion-5 pin
-(``tests/test_acceptance.py``), with ``ffax.enumeration.minimal_hs`` wrapped
-so that every call's to-hit family, blocked family and answer are kept. Each
-run's calls are then replayed in order through one fresh hitting-set state,
-as the enumeration loop makes them, and every answer must equal the recorded
-one. A checkout without the state class replays each call statelessly, so
-the same script measures the engine before the state existed.
+(``tests/test_acceptance.py``; ``--pin`` names its seed, and its grid is the
+one ``CONVERGENCE_MODELS`` lists for that seed), with
+``ffax.enumeration.minimal_hs`` wrapped so that every call's to-hit family,
+blocked family and answer are kept. Each run's calls are then replayed in
+order through one fresh hitting-set state, as the enumeration loop makes
+them, and every answer must equal the recorded one (the state's last answer
+orders its next search, so the calls are replayed in order and through one
+state). A checkout without the state class replays each call statelessly,
+so the same script measures the engine before the state existed.
 
 Prints one JSON object: the calls, the median and the minimum of ``--repeats``
 replay times, and the time per call from the median. Replays of one recording
@@ -16,7 +19,7 @@ machine, is the steadier figure to compare. The enumerations themselves are
 not timed. Examples:
 
     python scripts/replay_hitting_sets.py --interop 4,7 --mode axp-first
-    python scripts/replay_hitting_sets.py --pin 2254 --mode cxp-first
+    python scripts/replay_hitting_sets.py --pin 259 --mode cxp-first
 """
 
 import argparse
@@ -45,10 +48,17 @@ def interop_runs(rows):
     return [(model, points[row]) for row in rows]
 
 
-def pin_runs(seed):
+def pin_spec(seed):
+    """The ``(seed, features, trees)`` pin of ``seed``, or None if none is pinned."""
+    from test_acceptance import CONVERGENCE_MODELS
+
+    return next((spec for spec in CONVERGENCE_MODELS if spec[0] == seed), None)
+
+
+def pin_runs(spec):
     from test_acceptance import _convergence_case
 
-    _, model, v = _convergence_case((seed, 24, 16))
+    _, model, v = _convergence_case(spec)
     return [(model, v)]
 
 
@@ -95,7 +105,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--interop", help="comma-separated interop row ids")
-    source.add_argument("--pin", type=int, help="seed of a (seed, 24, 16) criterion-5 pin")
+    source.add_argument("--pin", type=int, help="seed of a criterion-5 pin")
     parser.add_argument("--mode", choices=("cxp-first", "axp-first"), default="cxp-first")
     parser.add_argument("--repeats", type=int, default=3, help="replays timed; the median is kept")
     args = parser.parse_args()
@@ -103,7 +113,10 @@ def main() -> int:
         parser.error("--repeats must be at least 1")
 
     if args.pin is not None:
-        runs, name = pin_runs(args.pin), f"pin ({args.pin}, 24, 16)"
+        spec = pin_spec(args.pin)
+        if spec is None:
+            parser.error(f"--pin {args.pin}: no criterion-5 pin has that seed")
+        runs, name = pin_runs(spec), f"pin {spec}"
     else:
         rows = [int(x) for x in args.interop.split(",")]
         runs, name = interop_runs(rows), f"interop rows {rows}"

@@ -256,7 +256,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             "format": "enumeration-reports/1",
             "reports": [json.loads(d) for d in docs],
         }
-        _emit(json.dumps(wrapped, indent=2), args.output)
+        _emit(json.dumps(wrapped), args.output)
     return EXIT_OK
 
 

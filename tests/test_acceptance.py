@@ -179,36 +179,36 @@ def test_criterion_4_attribution_identities():
 # --- 5: anytime convergence ---------------------------------------------------------------
 
 # Twenty pinned fuzz models whose complete enumeration lands inside the 10-60 s
-# window, chosen by runtime alone (24 features x 16 trees) by
-# scripts/calibrate_convergence_pins.py --seeds 0:4000 on a 2-vCPU Intel Xeon
-# box under Python 3.11, after dual extraction began to skip the trials that a
-# collected target refutes. It scanned seeds 0-2272 and kept each pin in its
-# 17-35 s band both in the scan and in a re-run of all twenty in one
+# window, chosen by runtime alone (32 features x 24 trees) by
+# scripts/calibrate_convergence_pins.py --seeds 0:3000 --features 32 --trees 24
+# on a 2-vCPU Intel Xeon box under Python 3.11, after the hitting-set search
+# began to try its last answer's ids first, which took the earlier
+# 24 x 16 pins under the 10 s floor. It scanned seeds 0-388 and kept each pin
+# in its 17-35 s band both in the scan and in a re-run of all twenty in one
 # two-worker pool, in this map order. The two times after each pin are its
-# scan and that re-run. One pin's time varied by up to 1.8x between the scan
-# and the re-run passes. When a pin leaves the window, re-run the script and
+# scan and that re-run. When a pin leaves the window, re-run the script and
 # paste its output here; do not widen the window.
 CONVERGENCE_MODELS: tuple[tuple[int, int, int], ...] = (  # (seed, features, trees)
-    (146, 24, 16),  # 24.0 s, 29.8 s
-    (150, 24, 16),  # 25.7 s, 34.4 s
-    (470, 24, 16),  # 20.8 s, 27.4 s
-    (764, 24, 16),  # 20.9 s, 31.8 s
-    (1025, 24, 16),  # 21.0 s, 25.8 s
-    (1050, 24, 16),  # 18.0 s, 24.5 s
-    (1262, 24, 16),  # 26.5 s, 24.7 s
-    (1421, 24, 16),  # 19.2 s, 25.3 s
-    (1616, 24, 16),  # 20.7 s, 23.7 s
-    (1700, 24, 16),  # 21.0 s, 23.8 s
-    (1845, 24, 16),  # 17.1 s, 20.8 s
-    (1859, 24, 16),  # 32.9 s, 25.1 s
-    (1907, 24, 16),  # 24.3 s, 17.1 s
-    (1936, 24, 16),  # 26.6 s, 20.8 s
-    (1942, 24, 16),  # 32.6 s, 30.6 s
-    (2041, 24, 16),  # 26.2 s, 24.9 s
-    (2079, 24, 16),  # 27.3 s, 31.3 s
-    (2103, 24, 16),  # 27.9 s, 34.8 s
-    (2213, 24, 16),  # 18.7 s, 23.2 s
-    (2272, 24, 16),  # 17.9 s, 17.6 s
+    (6, 32, 24),  # 30.7 s, 23.3 s
+    (35, 32, 24),  # 28.7 s, 24.6 s
+    (64, 32, 24),  # 27.2 s, 19.7 s
+    (106, 32, 24),  # 21.3 s, 20.4 s
+    (114, 32, 24),  # 28.5 s, 27.4 s
+    (124, 32, 24),  # 33.7 s, 23.4 s
+    (125, 32, 24),  # 28.1 s, 26.9 s
+    (183, 32, 24),  # 21.0 s, 18.7 s
+    (259, 32, 24),  # 20.3 s, 18.2 s
+    (261, 32, 24),  # 24.4 s, 25.1 s
+    (265, 32, 24),  # 19.3 s, 21.1 s
+    (284, 32, 24),  # 25.5 s, 24.7 s
+    (299, 32, 24),  # 31.3 s, 30.2 s
+    (332, 32, 24),  # 32.0 s, 28.4 s
+    (345, 32, 24),  # 26.5 s, 22.2 s
+    (358, 32, 24),  # 23.1 s, 19.1 s
+    (362, 32, 24),  # 19.1 s, 19.0 s
+    (386, 32, 24),  # 18.3 s, 20.2 s
+    (387, 32, 24),  # 19.1 s, 23.1 s
+    (388, 32, 24),  # 19.7 s, 19.1 s
 )
 CONVERGENCE_MARKS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 

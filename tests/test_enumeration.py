@@ -410,29 +410,32 @@ def hitting_problems(draw):
     return m, draw(families), draw(families)
 
 
+def _valid_hs(candidate, to_hit, blocked):
+    """Does ``candidate`` hit every to-hit set and contain no blocked set?"""
+    return all(candidate & s for s in to_hit) and not any(b <= candidate for b in blocked)
+
+
+def _assert_minimal_hs(answer, to_hit, blocked):
+    assert _valid_hs(answer, to_hit, blocked)
+    for fid in answer:  # subset-minimal w.r.t. hitting
+        shrunk = answer - {fid}
+        assert any(not (shrunk & s) for s in to_hit)
+
+
 @given(hitting_problems())
 def test_minimal_hs_contract_vs_subset_scan(problem):
     m, to_hit, blocked = problem
     answer = minimal_hs(to_hit, blocked, m)
-
-    def valid(candidate):
-        return all(candidate & s for s in to_hit) and not any(
-            b <= candidate for b in blocked
-        )
-
     all_valid = [
         frozenset(sub)
         for size in range(m + 1)
         for sub in combinations(range(m), size)
-        if valid(frozenset(sub))
+        if _valid_hs(frozenset(sub), to_hit, blocked)
     ]
     if answer is None:
         assert not all_valid
     else:
-        assert valid(answer)
-        for fid in answer:  # subset-minimal w.r.t. hitting
-            shrunk = answer - {fid}
-            assert any(not (shrunk & s) for s in to_hit)
+        _assert_minimal_hs(answer, to_hit, blocked)
 
 
 @st.composite
@@ -493,9 +496,11 @@ def growing_families(draw):
 
 @settings(max_examples=200)
 @given(growing_families())
-def test_state_matches_the_reference_and_a_stateless_call_at_every_prefix(problem):
+def test_state_answers_are_minimal_hitting_sets_at_every_prefix(problem):
     # the families grow one set at a time, as in the enumeration loop; a state
-    # that skips a call absorbs several sets at once
+    # that skips a call absorbs several sets at once. A state tries its last
+    # answer's ids first, so it may return another minimal hitting set than a
+    # stateless call, but it finds one exactly when the reference does.
     m, steps = problem
     state = _HittingSets(m)
     to_hit, blocked = [], []
@@ -503,8 +508,24 @@ def test_state_matches_the_reference_and_a_stateless_call_at_every_prefix(proble
         (to_hit if is_hit else blocked).append(s)
         if call:
             expected = _reference_minimal_hs(to_hit, blocked, m)
-            assert minimal_hs(to_hit, blocked, m, _state=state) == expected
+            answer = minimal_hs(to_hit, blocked, m, _state=state)
+            assert (answer is None) == (expected is None)
+            if answer is not None:
+                _assert_minimal_hs(answer, to_hit, blocked)
             assert minimal_hs(to_hit, blocked, m) == expected
+
+
+def test_state_tries_the_last_answer_first():
+    # A fresh search branches on {2}, then on {0,1} in ascending order, and
+    # returns {0,2}. The state's last answer was {1}, so it tries 1 first and
+    # returns {1,2}, another minimal hitting set.
+    state = _HittingSets(3)
+    to_hit = [frozenset({1, 2})]
+    assert minimal_hs(to_hit, [], 3, _state=state) == frozenset({1})
+    to_hit += [frozenset({2}), frozenset({0, 1})]
+    assert minimal_hs(to_hit, [], 3) == frozenset({0, 2})
+    assert _reference_minimal_hs(to_hit, [], 3) == frozenset({0, 2})
+    assert minimal_hs(to_hit, [], 3, _state=state) == frozenset({1, 2})
 
 
 def test_state_refuses_families_that_shrink_or_another_m():
@@ -666,16 +687,22 @@ def _report_digest(reports) -> str:
 # began to skip the trials that a collected target refutes: only call counts
 # moved (adult cxp-first 15 -> 14 calls; under the 1500-call budget, interop
 # cxp-first records more events and axp-first row 4 completes in 1305 calls;
-# test_skipping_refuted_trials_moves_only_call_counts checks the rest).
+# test_skipping_refuted_trials_moves_only_call_counts checks the rest). Both
+# interop digests were re-pinned when the hitting-set state began to try its
+# last answer's ids first: some candidates, hence order and call counts, moved
+# (under the 1500-call budget cxp-first records 59 + 66 and 59 + 66 events,
+# was 58 + 65 and 59 + 60; axp-first rows 4 and 7 complete in 1255 and 887
+# calls); test_phase_saving_finds_the_sets_of_the_stateless_engine checks
+# that complete runs find the same sets.
 @pytest.mark.parametrize("source, mode, digest", [
     ("adult", "cxp-first",
      "2a223f2db3c81e762907772e0d4005faf31ba97c317492687919f15c6e180d3f"),
     ("adult", "axp-first",
      "9ec6cedc1c8ef60093b79b96ccdd93185db63eae510dcaf1e6c37f35ce1d77bb"),
     ("interop", "cxp-first",
-     "cd12e48a6f017313c1853b604ed098cec70bfade451c9b6bfc2d17557aa85766"),
+     "2d0a510a66cae255f3278c8762cd1d93d4a18b27ae622cd1fdf551880f9925df"),
     ("interop", "axp-first",
-     "cf8aec6ce49da041473e4d0ab6d99c7f17ca0e867107815bb9da69454e2673d3"),
+     "6f9584c293035d9776c6b48eda6840b5a092f3fc13b09faa376eb48c2aa6abb4"),
 ], ids=["adult-cxp-first", "adult-axp-first", "interop-cxp-first", "interop-axp-first"])
 def test_reports_are_pinned(adult_model, adult_instance, interop, source, mode, digest):
     if source == "adult":
@@ -699,20 +726,55 @@ def test_axp_first_discovery_order_is_pinned(complete_axp_first):
     # extraction saves in calls, it must record the same sets in the same order.
     # Re-pinned when minimal_hs dropped its greedy pre-pass, which changed some
     # candidates and so the order; each run's final sets did not change.
+    # Re-pinned again when the hitting-set state began to try its last
+    # answer's ids first, for the same reason and with the same sets.
     summary = [
         ([(e.kind, sorted(e.features), e.discovery_index) for e in r.events()], r.complete)
         for r in complete_axp_first
     ]
     digest = hashlib.sha256(repr(summary).encode()).hexdigest()
-    assert digest == "2b7eebfea62fcad0514c259e5fa526db19cebbb08f7cf4c8b69edbf3d6b7c7fd"
+    assert digest == "26d654b1cd2e6a48f53f053463764431e08c285c26af14edeff02874907d3e34"
 
 
 def test_axp_first_call_totals_are_pinned(complete_axp_first):
     # interop row 7 was 1081 calls before minimal_hs dropped its greedy
     # pre-pass; the exact search's first solutions cost it 14 fewer. Rows 4
     # and 7 took 1595 and 1067 calls before dual extraction skipped the
-    # trials that a collected target refutes.
-    assert [r.oracle_calls for r in complete_axp_first] == [9, 1305, 869]
+    # trials that a collected target refutes. Rows 4 and 7 took 1305 and 869
+    # calls before the hitting-set state tried its last answer's ids first,
+    # which moved the candidates.
+    assert [r.oracle_calls for r in complete_axp_first] == [9, 1255, 887]
+
+
+@pytest.mark.parametrize("mode", ["cxp-first", "axp-first"])
+def test_phase_saving_finds_the_sets_of_the_stateless_engine(
+    adult_model, adult_instance, interop, monkeypatch, mode
+):
+    # Differential: the same complete runs with the phase cleared before every
+    # call, so each candidate is the one a stateless call gives (ids in
+    # ascending order only). The state is kept, so the loop's masks, and the
+    # extraction trials they refute, are as in the run with phase saving. The
+    # loop reads minimal_hs from the module at call time, so the wrapper is
+    # the engine.
+    runs = [(adult_model, adult_instance)] + [(interop[0], interop[1][row]) for row in (4, 7)]
+    saved = [enumerate_explanations(model, v, mode=mode) for model, v in runs]
+    original = enumeration.minimal_hs
+
+    def stateless(to_hit, blocked, m, _state=None):
+        _state.phase = 0
+        return original(to_hit, blocked, m, _state=_state)
+
+    monkeypatch.setattr(enumeration, "minimal_hs", stateless)
+    stateless = [enumerate_explanations(model, v, mode=mode) for model, v in runs]
+    for report, fresh in zip(saved, stateless):
+        assert report.complete and fresh.complete
+        assert set(report.axp_sets()) == set(fresh.axp_sets())
+        assert set(report.cxp_sets()) == set(fresh.cxp_sets())
+    # the two engines took different paths, so the comparison tests something
+    assert any(
+        [e.features for e in r.events()] != [e.features for e in f.events()]
+        for r, f in zip(saved, stateless)
+    )
 
 
 def test_enumerate_matches_brute_force_fuzz(rng):

@@ -259,6 +259,21 @@ def test_comparison_doc_roundtrip():
     assert loaded["rows"][0]["instances"] == 1
 
 
+def test_json_documents_are_written_compact(adult_model, adult_instance, adult_space):
+    vec = ffa([frozenset({0, 5})], 6, complete=True)
+    ref = AttributionVector(values=(1.0, 0.5, 0.0), source="ffa", basis=2)
+    rows = [compare_vectors(ref, [("m", AttributionVector(values=(0.5, 1.0, 0.0), source="external:m"))])]
+    texts = [
+        formats.write_model(adult_model),
+        formats.write_enumeration_report(enumerate_explanations(adult_model, adult_instance)),
+        formats.write_attribution_doc(adult_space, [{"row": 0, "class_id": 0, "vector": vec}]),
+        formats.write_comparison_doc("ffa", average_rows(rows)),
+    ]
+    for text in texts:
+        assert "\n" not in text
+        assert text == json.dumps(json.loads(text))
+
+
 def test_schema_text_available_for_every_format():
     for name in formats.SCHEMA_NAMES:
         text = formats.schema_text(name)
