@@ -9,9 +9,18 @@ bound is the per-tree sum of the extreme reachable leaf under the current
 box, accumulated per class in tree-index order and subtracted last; IEEE
 addition and subtraction are monotone in each argument, so the bound
 dominates the exactly-evaluated score of every completion with no epsilon
-anywhere. A box with no ambiguous split has a single reachable leaf per tree,
-hence an exact value; popped best-first, the first such box is a global
-optimum.
+anywhere. The floor, summed the same way from each tree's other extreme, is
+at most that score for the same reason. A box with no ambiguous split has a
+single reachable leaf per tree, hence an exact value (its floor equals its
+bound); in the search with no threshold, popped best-first, the first such
+box is a global optimum.
+
+A threshold search (a flip query) asks only whether the objective reaches a
+target somewhere. It returns the first popped box whose floor reaches the
+target, determined or not, since every point of that box does. It pushes no
+box whose bound cannot reach the target, and answers "unreachable" when its
+heap empties. The floor is tested when a box is popped, so the boxes it pops
+are a prefix of those that a search down to a determined box pops.
 
 Branching picks the free feature with the largest total bound gap (sum of
 hi-lo over trees whose path is ambiguous because of it, in tree-index order),
@@ -33,13 +42,14 @@ and the first of them in tree order names it. Bounds and gaps are still summed
 over all trees in tree-index order, so they are bit-identical to a full
 re-walk, and so are the pops and the result.
 
-A witness is materialized from the first determined box that reaches the
-flip: every feature whose instance cell lies in the box's domain keeps the
+A witness is materialized from the first popped box whose floor reaches the
+target: every feature whose instance cell lies in the box's domain keeps the
 instance's exact value, fixed or free, and every other feature takes the
-representative of its lowest cell in the box. This is exact: a determined box
-has one reachable leaf per tree, so every point in it has the same score. A
-witness that agrees with the instance on a feature is what lets extraction
-decide a later trial that fixes the feature without a call.
+representative of its lowest cell in the box. This is exact: every point of
+the box scores at least its floor. A witness that agrees with the instance on
+a feature is what lets extraction decide a later trial that fixes the feature
+without a call, and a box accepted before it is determined leaves more
+features on the instance's cell.
 
 Class change is decided per the model's tie rule: for a single-score binary
 model with prediction 1 the query is min score < 0, with prediction 0 it is
@@ -55,6 +65,7 @@ compare ``class_grid`` with ``evaluate`` at every cell's representative.
 """
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -143,22 +154,26 @@ def _tree_range(node, box):
     return node[1], node[1], _NO_SPLITS
 
 
-def _bound(obj: _Objective, ranges) -> float:
-    """Upper bound of the objective from per-tree ranges in objective order.
+def _bounds(obj: _Objective, ranges) -> tuple[float, float]:
+    """Upper and lower bounds of the objective from per-tree ranges in objective order.
 
-    Accumulation order matters: per-class extreme sums are built in tree-index
-    order, then subtracted, mirroring evaluate's exact float semantics.
+    The upper bound adds the positive trees' max leaves and the negative
+    trees' min leaves, the lower bound the other extremes. Accumulation order
+    matters: per-class sums are built in tree-index order, then subtracted,
+    mirroring evaluate's exact float semantics.
     """
     n_pos = len(obj.pos_trees)
-    pos_acc = obj.pos_base
-    for i in range(n_pos):
-        pos_acc = pos_acc + ranges[i][1]
+    pos_hi = pos_lo = obj.pos_base
+    for lo, hi, _ in ranges[:n_pos]:
+        pos_hi += hi
+        pos_lo += lo
     if obj.neg is None:
-        return pos_acc
-    neg_acc = obj.neg_base
-    for i in range(n_pos, len(ranges)):
-        neg_acc = neg_acc + ranges[i][0]
-    return pos_acc - neg_acc
+        return pos_hi, pos_lo
+    neg_lo = neg_hi = obj.neg_base
+    for lo, hi, _ in ranges[n_pos:]:
+        neg_lo += lo
+        neg_hi += hi
+    return pos_hi - neg_lo, pos_lo - neg_hi
 
 
 def _split_box(box, node):
@@ -175,30 +190,35 @@ def _split_box(box, node):
 def _maximize(obj: _Objective, box, fail_below: float | None = None, strict: bool = False):
     """Exact max of the objective and an optimal box.
 
-    With ``fail_below`` set, stop early and return (None, None) as soon as the
-    best remaining bound shows the target (>= fail_below, or > with strict)
-    is unreachable; return the first witness box otherwise.
+    With ``fail_below`` set, search for a box whose every point reaches the
+    target (>= fail_below, or > with strict) instead: no box whose bound
+    cannot reach the target is pushed, the first popped box whose floor
+    reaches it is returned with that floor, and an emptied heap gives
+    (None, None).
 
     A heap entry carries its box's per-tree ranges; a child re-walks only the
     trees whose parent range maps the split feature, and the first of them
     gives the split.
     """
+    target = fail_below
+    if strict and target is not None:  # x > t exactly when x >= the next float above t
+        target = math.nextafter(target, math.inf)
     ranges = [_tree_range(root, box) for root in obj.trees]
-    heap = [(-_bound(obj, ranges), 0, box, ranges)]
+    bound, floor = _bounds(obj, ranges)
+    heap = [(-bound, 0, box, ranges, floor)] if target is None or bound >= target else []
     seq = 1
     while heap:
-        nbound, _, cur, ranges = heapq.heappop(heap)
-        bound = -nbound
-        if fail_below is not None and (bound < fail_below or (strict and bound <= fail_below)):
-            return None, None
+        nbound, _, cur, ranges, floor = heapq.heappop(heap)
+        if target is not None and floor >= target:
+            return floor, cur
         gaps: dict[int, float] = {}
         for lo, hi, first in ranges:
             if first:
                 gap = hi - lo
                 for f in first:
                     gaps[f] = gaps.get(f, 0.0) + gap
-        if not gaps:
-            return bound, cur
+        if not gaps:  # determined; a threshold search has returned it already
+            return -nbound, cur
         fid, best = -1, -1.0  # every gap is >= 0
         for f, gap in gaps.items():
             if gap > best or (gap == best and f < fid):
@@ -208,9 +228,13 @@ def _maximize(obj: _Objective, box, fail_below: float | None = None, strict: boo
             cranges = ranges.copy()
             for t in touched:
                 cranges[t] = _tree_range(obj.trees[t], child)
-            heapq.heappush(heap, (-_bound(obj, cranges), seq, child, cranges))
-            seq += 1
-    raise AssertionError("search exhausted without a determined box")
+            cbound, cfloor = _bounds(obj, cranges)
+            if target is None or cbound >= target:
+                heapq.heappush(heap, (-cbound, seq, child, cranges, cfloor))
+                seq += 1
+    if target is None:
+        raise AssertionError("search exhausted without a determined box")
+    return None, None
 
 
 class _TreeOracle:
@@ -239,7 +263,8 @@ class _TreeOracle:
         """A domain-valid x agreeing with v on ``fixed`` with class != c.
 
         x keeps v's exact value on every feature whose cell lies in the
-        witness box's domain, fixed or free (see the module docstring).
+        domain of the witness box, the first popped box whose floor flips,
+        fixed or free (see the module docstring).
         """
         box = self.box_for(v, fixed)
         # (pos, neg, strict): a flip needs max(pos - neg) >= 0, or > 0 if strict
@@ -265,7 +290,7 @@ class _TreeOracle:
 
 
 def _witness_point(cells: CellSystem, v: Instance, box, wbox) -> Instance:
-    """A point of the determined box ``wbox``, searched from ``box``, like v.
+    """A point of the box ``wbox``, searched from ``box``, like v.
 
     It keeps v's exact value on every feature whose domain holds v's cell and
     takes the representative of the domain's lowest cell elsewhere. Only a

@@ -689,8 +689,26 @@ def _bit_exact(result):
     return (None if bound is None else bound.hex(), None if box is None else _as_masks(box))
 
 
+def _reaches(x, fail_below, strict):
+    return x > fail_below if strict else x >= fail_below
+
+
+def _box_objectives(model, cells, box, pos, neg):
+    """The objective at every cell representative of ``box``, under evaluate."""
+    cell_lists = [[i for i in range(size) if dom >> i & 1] for dom, size in zip(box, cells.sizes)]
+    for indices in product(*cell_lists):
+        scores = evaluate(model, Instance(cells.cell_point(indices))).scores
+        pos_score = scores[pos] if pos is not None else 0.0
+        yield pos_score - scores[neg] if neg is not None else pos_score
+
+
 def test_incremental_search_matches_full_recompute(rng, monkeypatch):
-    searches = branched = 0
+    # The search with no threshold must match the frozen reference bit for
+    # bit, result and pops. A threshold search stops at the first popped box
+    # whose floor reaches the target, and pushes no child whose bound cannot:
+    # its verdict matches the reference's, its pops are a prefix of the
+    # reference's, and every point of the box it returns reaches the target.
+    searches = branched = early = 0
     for _ in range(400):
         m = rng.randint(2, 9)
         space = random_space(rng, m)
@@ -719,11 +737,23 @@ def test_incremental_search_matches_full_recompute(rng, monkeypatch):
                 compiled.objective(pos, neg), compiled.box_for(v, fixed), fail_below, strict
             )
             monkeypatch.undo()
-            assert _bit_exact(got) == _bit_exact(expected)
-            assert [_as_masks(box) for box in pops] == [_as_masks(box) for box in expected_pops]
+            pops = [_as_masks(box) for box in pops]
+            expected_pops = [_as_masks(box) for box in expected_pops]
+            if fail_below is None:
+                assert _bit_exact(got) == _bit_exact(expected)
+                assert pops == expected_pops
+            else:
+                assert (got[1] is None) == (expected[1] is None)
+                assert pops == expected_pops[:len(pops)]
+                if got[1] is not None:
+                    assert pops[-1] == got[1]
+                    values = list(_box_objectives(model, cells, got[1], pos, neg))
+                    assert all(_reaches(x, fail_below, strict) for x in values)
+                    assert _reaches(got[0], fail_below, strict) and got[0] <= min(values)
+                    early += len(pops) < len(expected_pops)
             searches += 1
             branched += len(expected_pops) > 1
-    assert searches > 1000 and branched > 500, (searches, branched)
+    assert searches > 1000 and branched > 500 and early > 300, (searches, branched, early)
 
 
 def test_equal_gaps_split_the_lower_feature_id_first(monkeypatch):
@@ -825,5 +855,46 @@ def test_incremental_search_walks_fewer_trees_on_interop(monkeypatch, interop):
         _reference_box_for(CellSystem(model), v, frozenset()), 0.0, strict,
     )
     reference = walks[0]
-    assert got[1] is not None and _bit_exact(got) == _bit_exact(expected)
+    # the incremental search also stops at a box whose floor flips, so only
+    # the verdict is compared, not the box
+    assert got[1] is not None and expected[1] is not None
     assert incremental < reference, (incremental, reference)
+
+
+# --- the threshold search accepts and prunes by bounds ---------------------------
+
+
+def test_flip_search_accepts_a_box_whose_floor_flips(monkeypatch):
+    # Once a holds, every b flips (1.0 - 0.1 >= 0), so the search stops at
+    # the box a = True, b open, after one split: the root, then that box. The
+    # witness keeps v's b = False, where a search down to a determined box
+    # would have taken the better b = True.
+    model = TreeEnsemble(_two_booleans(), ("n", "y"), (
+        Tree(1, BooleanSplit(0, yes=Leaf(1.0), no=Leaf(-1.0))),
+        Tree(1, BooleanSplit(1, yes=Leaf(0.1), no=Leaf(-0.1))),
+    ))
+    v = Instance((False, False))
+    assert evaluate(model, v).class_id == 0
+    pops = []
+    monkeypatch.setattr(oracle, "heapq", _recording_heapq(pops))
+    witness = find_counterexample(model, v, 0, {0, 1})
+    assert pops == [(0b11, 0b11), (0b10, 0b11)]
+    assert witness == Instance((True, False))
+    assert evaluate(model, witness).class_id == 1
+
+
+def test_threshold_search_with_every_child_pruned_finds_nothing(monkeypatch):
+    # The root's bound (1 + 1) reaches 1.5, but each value of a leaves 1.0:
+    # both children are dropped, and the emptied heap answers "unreachable".
+    model = TreeEnsemble(_two_booleans(), ("n", "y"), (
+        Tree(1, BooleanSplit(0, yes=Leaf(1.0), no=Leaf(0.0))),
+        Tree(1, BooleanSplit(0, yes=Leaf(0.0), no=Leaf(1.0))),
+    ))
+    compiled = oracle._tree_oracle(model)
+    box = compiled.box_for(Instance((False, False)), ())
+    pops = []
+    monkeypatch.setattr(oracle, "heapq", _recording_heapq(pops))
+    assert oracle._maximize(compiled.objective(1, None), box, 1.5) == (None, None)
+    assert pops == [box]
+    monkeypatch.undo()
+    assert oracle._maximize(compiled.objective(1, None), box) == (1.0, (0b10, 0b11))
