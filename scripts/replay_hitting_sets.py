@@ -9,8 +9,7 @@ blocked family and answer are kept. Each run's calls are then replayed in
 order through one fresh hitting-set state, as the enumeration loop makes
 them, and every answer must equal the recorded one (the state's last answer
 orders its next search, so the calls are replayed in order and through one
-state). A checkout without the state class replays each call statelessly,
-so the same script measures the engine before the state existed.
+state).
 
 Prints one JSON object: the calls, the median and the minimum of ``--repeats``
 replay times, and the time per call from the median. Replays of one recording
@@ -88,13 +87,12 @@ def record(runs, mode):
 
 def replay(recorded):
     """Seconds spent in the replayed ``minimal_hs`` calls. Checks every answer."""
-    state_class = getattr(enumeration, "_HittingSets", None)
     spent = 0.0
     for calls in recorded:
-        extra = {} if state_class is None else {"_state": state_class(calls[0][2])}
+        state = enumeration._HittingSets(calls[0][2])
         for to_hit, blocked, m, expected in calls:
             start = time.perf_counter()
-            answer = enumeration.minimal_hs(to_hit, blocked, m, **extra)
+            answer = enumeration.minimal_hs(to_hit, blocked, m, _state=state)
             spent += time.perf_counter() - start
             if answer != expected:
                 raise SystemExit(f"replayed answer {answer} differs from recorded {expected}")
@@ -126,7 +124,6 @@ def main() -> int:
     print(json.dumps({
         "source": name,
         "mode": args.mode,
-        "stateful": hasattr(enumeration, "_HittingSets"),
         "python": platform.python_version(),
         "calls": calls,
         "replay_s": round(total, 4),

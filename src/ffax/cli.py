@@ -24,7 +24,6 @@ one contiguous chunk of rows.
 """
 
 import argparse
-import json
 import math
 import sys
 from functools import partial
@@ -249,14 +248,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     _, docs = _run_rows(args, _enumerate_row)
-    if len(docs) == 1:
-        _emit(docs[0], args.output)
-    else:
-        wrapped = {
-            "format": "enumeration-reports/1",
-            "reports": [json.loads(d) for d in docs],
-        }
-        _emit(json.dumps(wrapped), args.output)
+    _emit(docs[0] if len(docs) == 1 else formats.write_enumeration_reports(docs), args.output)
     return EXIT_OK
 
 
@@ -378,10 +370,12 @@ def _rows(text: str) -> tuple[int, ...]:
 
 def _grid(text: str) -> tuple[int, int]:
     try:
-        rows_n, cols_n = text.lower().split("x")
-        return int(rows_n), int(cols_n)
+        rows_n, cols_n = (int(size) for size in text.lower().split("x"))
+        if rows_n < 1 or cols_n < 1:
+            raise ValueError("empty grid")
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected ROWSxCOLS, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected ROWSxCOLS, sizes >= 1, got {text!r}") from None
+    return rows_n, cols_n
 
 
 def _names(text: str) -> tuple[str, ...]:

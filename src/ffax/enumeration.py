@@ -9,18 +9,16 @@ collected duals that is not a superset of any collected target), tests the
 candidate with the exact oracle, and records either the candidate or a dual
 explanation extracted from its complement. The extraction uses the duality
 too: it skips, without an oracle call, every trial that misses a collected
-explanation of the other kind (interop rows 4, 7 and 8 to completion,
-cxp-first: 11,270 oracle calls instead of 13,523). When no candidate exists
-the report is complete and certified by duality. The collected families only
-grow during a run, so the loop keeps one hitting-set state (``_HittingSets``)
-that holds them as bitmasks and converts only the sets added since the last
-candidate. The engine is one exact search whose first solution is shrunk to
-a minimal hitting set. The state also saves the phase, the last candidate,
-and the search tries its ids first (as MARCO's map solver keeps its last
-model), so a candidate can differ from the one a stateless call returns:
-the sets a complete run finds do not change, their discovery order and
-the calls between them can (interop rows 4 and 7 axp-first: 8,727 search
-nodes instead of 57,674).
+explanation of the other kind. When no candidate exists the report is
+complete and certified by duality. The collected families only grow during
+a run, so the loop keeps one hitting-set state (``_HittingSets``) that holds
+them as bitmasks and converts only the sets added since the last candidate.
+The engine is one exact search whose first solution is shrunk to a minimal
+hitting set. The state also saves the phase, the last candidate, and the
+search tries its ids first (as MARCO's map solver keeps its last model), so
+a candidate can differ from the one a stateless call returns: the sets a
+complete run finds do not change, their discovery order and the calls
+between them can, and the search visits far fewer nodes.
 
 The loop is anytime: wall-clock, explanation-count, and oracle-call budgets
 stop it between oracle calls, so every recorded explanation is fully
@@ -377,8 +375,7 @@ def _extract(kind, model, v, c, seed, order, clock, verify_seed, moved, targets)
     A skipped CXp trial would have found no counterexample, so ``moved`` is
     kept as well; the counterexample of a skipped AXp trial would never have
     decided a later AXp trial. So the result is the same and only calls are
-    saved: 2253 of the 13,523 calls of interop rows 4, 7 and 8 cxp-first,
-    and 488 of the 2662 of rows 4 and 7 axp-first.
+    saved.
     """
     current = frozenset(seed)
     if verify_seed:

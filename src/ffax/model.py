@@ -48,7 +48,7 @@ class FeatureSpec:
             raise ValidationError(f"feature {self.name!r}: unknown kind {self.kind!r}")
         if self.kind == CATEGORICAL:
             if not self.values:
-                raise ValidationError(f"feature {self.name!r}: empty categorical domain")
+                raise ValidationError(f"feature {self.name!r}: a categorical domain must be non-empty")
             if len(set(self.values)) != len(self.values):
                 raise ValidationError(f"feature {self.name!r}: duplicate categorical values")
         elif self.kind == ORDINAL:
@@ -60,7 +60,7 @@ class FeatureSpec:
                 )
             if not (self.lo <= self.hi):
                 raise ValidationError(
-                    f"feature {self.name!r}: bad interval [{self.lo}, {self.hi}]"
+                    f"feature {self.name!r}: interval [{self.lo}, {self.hi}] has lo > hi"
                 )
 
     def contains(self, value) -> bool:

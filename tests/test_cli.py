@@ -291,10 +291,14 @@ def test_workers_shard_rows(tmp_path, adult_two_rows):
     ("enumerate", "--workers", "-3"),
     ("explain", "--workers", "two"),
     ("attribute", "--grid", "3"),
+    ("attribute", "--grid", "-2x-3"),
+    ("attribute", "--grid", "-6x-1"),
+    ("attribute", "--grid", "0x6"),
 ])
 def test_malformed_flag_value_exits_2(command, flag, value, capsys):
+    # The FLAG=VALUE form: argparse reads a separate "-2x-3" as an option, not a value.
     with pytest.raises(SystemExit) as exc:
-        main(adult_args(command, flag, value))
+        main(adult_args(command, f"{flag}={value}"))
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
@@ -471,6 +475,16 @@ _REPORT = {
     ("explain", {}, ["--classes", "no,yes"], "class names"),
     ("attribute", {}, ["--kind", "wffa", "--checkpoints", "1,2"], "--checkpoints"),
     ("attribute", {}, ["--matrix-out", "m.txt"], "--matrix-out"),
+    # values of the wrong JSON type: a bool is not an id, a list not a value name
+    ("explain", {"model.json": [{"nodeid": 0, "split": True, "split_condition": 0.5, "yes": 1, "no": 2,
+                                 "children": [{"nodeid": 1, **_LEAF}, {"nodeid": 2, **_LEAF}]}]},
+     [], "tree 0"),
+    ("explain", {"model.json": {**_MODEL, "trees": [{"class": True, "root": _LEAF}]}}, [], "tree 0"),
+    ("explain", {"space.json": {"features": [{"name": "a", "kind": "categorical", "values": [["x"]]}]}},
+     [], "features[0]"),
+    ("compare", {"ref.json": {"format": "attribution/1", "features": ["a", "b"],
+                              "entries": [{"source": "ffa", "values": ["x", 0.0]}]}},
+     ["--reference", "ref.json"], "entries[0]"),
 ], ids=[
     "space-entry-not-object", "space-lo-not-number", "le-without-threshold",
     "threshold-not-number", "leaf-not-number", "base-score-not-number",
@@ -484,6 +498,8 @@ _REPORT = {
     "reference-without-entries", "grid-over-no-rows",
     "canonical-model-with-base-score", "canonical-model-with-classes",
     "checkpoints-with-wffa-only", "matrix-out-without-grid",
+    "dump-split-is-bool", "canonical-class-is-bool", "categorical-value-is-list",
+    "reference-value-is-string",
 ])
 def test_malformed_document_exits_2(tmp_path, monkeypatch, capsys, command, docs, extra, where):
     monkeypatch.chdir(tmp_path)

@@ -6,7 +6,7 @@ import pytest
 from conftest import FIXTURES
 from ffax import formats
 from ffax.attribution import AttributionVector, ffa
-from ffax.enumeration import enumerate_explanations
+from ffax.enumeration import Budget, enumerate_explanations
 from ffax.errors import DataMismatchError, ParseError
 from ffax.metrics import average_rows, compare_vectors
 from ffax.model import Instance, evaluate
@@ -221,6 +221,23 @@ def test_enumeration_report_roundtrip(adult_model, adult_instance):
     assert set(loaded.cxps) == set(report.cxp_sets())
     assert loaded.class_name == "<50k"
     assert loaded.axps == report.axp_sets()  # discovery order preserved
+
+
+def test_report_wrapper_joins_the_report_texts(interop):
+    # The texts are joined as written; the bytes are those of the parsed round trip.
+    model, points = interop
+    texts = [
+        formats.write_enumeration_report(
+            enumerate_explanations(model, points[row], budget=Budget(max_oracle_calls=60)),
+            class_name="c",
+        )
+        for row in (0, 4, 7, 8)
+    ]
+    for reports in (texts, texts[:1]):
+        round_trip = json.dumps(
+            {"format": "enumeration-reports/1", "reports": [json.loads(t) for t in reports]}
+        )
+        assert formats.write_enumeration_reports(reports) == round_trip
 
 
 def test_attribution_doc_roundtrip(adult_space):
