@@ -36,10 +36,12 @@ from .model import (
 
 GRID_CAP = 10**7
 
-# Compiled node forms: ("leaf", w) | ("test", fid, mask, yes, no) with yes iff
-# bit ``cell`` of ``mask`` is set. An ordinal test "cell <= p" has mask
-# (1 << (p + 1)) - 1, a membership test the OR of its value indices' bits, and
-# a boolean test 0b10 (index 1 is True).
+# Compiled node forms: ("leaf", w, bit) | ("test", fid, mask, yes, no, yes_leaves,
+# no_leaves) with yes iff bit ``cell`` of ``mask`` is set. An ordinal test
+# "cell <= p" has mask (1 << (p + 1)) - 1, a membership test the OR of its value
+# indices' bits, and a boolean test 0b10 (index 1 is True). A compiled tree's
+# leaves are numbered in preorder, yes subtree first: leaf i has ``bit`` 1 << i,
+# and a test's ``yes_leaves``/``no_leaves`` are the ORs of its subtrees' bits.
 
 
 def _ordinal_boundaries(lo: float, hi: float, thresholds) -> tuple[float, ...]:
@@ -99,7 +101,7 @@ class CellSystem:
             for spec in space.features
         ]
         self.trees: tuple[tuple[int, tuple], ...] = tuple(
-            (tree.class_id, self._compile(tree.root)) for tree in model.trees
+            (tree.class_id, self._compile(tree.root, [0])) for tree in model.trees
         )
 
     # -- value <-> cell index --------------------------------------------
@@ -128,36 +130,44 @@ class CellSystem:
 
     # -- tree compilation --------------------------------------------------
 
-    def _compile(self, node):
+    def _compile(self, node, count: list[int]):
+        """The compiled form of ``node``; ``count[0]`` is the next leaf number."""
         if isinstance(node, Leaf):
-            return ("leaf", node.weight)
-        yes = self._compile(node.yes)
-        no = self._compile(node.no)
+            count[0] += 1
+            return ("leaf", node.weight, 1 << count[0] - 1)
         if isinstance(node, ThresholdSplit):
             spec = self.model.space[node.fid]
             t = node.threshold
             if t >= spec.hi:  # every domain value passes the test
-                return yes
+                return self._compile(node.yes, count)
             if t < spec.lo:  # no domain value passes
-                return no
+                return self._compile(node.no, count)
             bounds = self.boundaries[node.fid]
             p = bisect_left(bounds, t)
             # In-range thresholds of the bound model are boundaries by
             # construction, so cells 0..p are exactly the values <= t.
             assert p < len(bounds) and bounds[p] == t
-            return ("test", node.fid, (1 << (p + 1)) - 1, yes, no)
-        if isinstance(node, MembershipSplit):
+            mask = (1 << (p + 1)) - 1
+        elif isinstance(node, MembershipSplit):
             index = self._value_index[node.fid]
             mask = 0
             for v in node.values:
                 if v in index:
                     mask |= 1 << index[v]
             if not mask:
-                return no
+                return self._compile(node.no, count)
             if mask == (1 << self.sizes[node.fid]) - 1:
-                return yes
-            return ("test", node.fid, mask, yes, no)
-        return ("test", node.fid, 0b10, yes, no)
+                return self._compile(node.yes, count)
+        else:
+            mask = 0b10
+        start = count[0]
+        yes = self._compile(node.yes, count)
+        middle = count[0]
+        no = self._compile(node.no, count)
+        return (
+            "test", node.fid, mask, yes, no,
+            (1 << middle) - (1 << start), (1 << count[0]) - (1 << middle),
+        )
 
 
 def _collect_thresholds(node, acc: dict[int, set[float]]) -> None:
@@ -212,7 +222,7 @@ def _grid_add(node, reach: np.ndarray, score: np.ndarray, axis_index) -> None:
     if node[0] == "leaf":
         score[reach] += node[1]
         return
-    _, fid, mask, yes, no = node
+    _, fid, mask, yes, no, _, _ = node
     cond = np.isin(axis_index[fid], [i for i in range(mask.bit_length()) if mask >> i & 1])
     yes_mask = reach & cond
     if yes_mask.any():

@@ -41,15 +41,26 @@ AXP = "axp"
 CXP = "cxp"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Explanation:
+    """One AXp or CXp as the enumeration recorded it.
+
+    The set is kept as the int ``mask``, bit i for feature i, and ``features``
+    gives it as a frozenset: a report keeps every set it found, and a
+    frozenset of a few ids takes hundreds of bytes where the mask takes tens.
+    """
+
     kind: str  # "axp" | "cxp"
-    features: frozenset[int]
+    mask: int
     instance: Instance
     class_id: int
     discovery_index: int
     discovery_time: float
     oracle_calls: int  # cumulative count when this set was recorded
+
+    @property
+    def features(self) -> frozenset[int]:
+        return frozenset(_ids(self.mask))
 
 
 @dataclass(frozen=True)
@@ -467,7 +478,7 @@ def enumerate_explanations(
         nonlocal index
         entry = Explanation(
             kind=kind,
-            features=features,
+            mask=_mask(features),
             instance=v,
             class_id=c,
             discovery_index=index,

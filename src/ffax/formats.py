@@ -199,13 +199,18 @@ def _parse_dump_node(node, space: FeatureSpace, where: str) -> Node:
             raise ParseError(f"split node lacks {key!r}", where)
     fid = _resolve_fid(space, node["split"], where)
     spec = space[fid]
-    children = node.get("children", [])
-    if not isinstance(children, list) or not all(isinstance(child, dict) for child in children):
+    items = node.get("children", [])
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
         raise ParseError("'children' must be a list of node objects", where)
-    children = {child.get("nodeid"): child for child in children}
+    children: dict[int, dict] = {}
+    for item in items:
+        nodeid = _int(item.get("nodeid"), "child nodeid", where)
+        if nodeid in children:
+            raise ParseError(f"two children have nodeid {nodeid}", where)
+        children[nodeid] = item
 
     def child(which: str) -> Node:
-        cid = node[which]
+        cid = _int(node[which], "child id", where)
         if cid not in children:
             raise ParseError(f"dangling child id {cid!r}", where)
         return _parse_dump_node(children[cid], space, where=f"{where} -> node {cid}")

@@ -28,19 +28,27 @@ the lowest feature id on a tie, and splits its current sub-domain at the
 first ambiguous test on that feature, in tree order, then in preorder with
 the yes branch first.
 
-The search is incremental: each heap entry carries its box's per-tree
-``(lo, hi, first splits)`` ranges, where the map sends each feature with a
-reachable ambiguous test to the first such test node in the tree's preorder.
-A child box re-walks only the trees whose parent range maps the split feature;
-every other tree keeps its parent's range object. The reuse is exact. If no
-reachable test of a tree on ``fid`` is ambiguous, each of them sends the whole
-of ``fid``'s sub-domain one way, and so does any narrowing of it; the tree
-reaches the same nodes in the child box, each ambiguous or not as before, so
-its leaves, range and first splits are those of the parent. For the same
-reason only the re-walked trees can hold the first ambiguous test on ``fid``,
-and the first of them in tree order names it. Bounds and gaps are still summed
-over all trees in tree-index order, so they are bit-identical to a full
-re-walk, and so are the pops and the result.
+The search is incremental, over reachable leaves. ``CellSystem`` numbers
+each compiled tree's leaves in preorder, yes subtree first, and gives each
+test the leaf bits of its two subtrees. At the root box a walk finds each
+tree's mask ``r`` of reachable leaves. A leaf is reachable exactly when every
+test on its path meets the box on its side (a yes side needs ``dom & mask``,
+a no side ``dom & ~mask``), a conjunction with one conjunct per feature. A
+child box narrows only the split feature's domain, which only shrinks that
+feature's conjunct, so the child's mask is the parent's ANDed with
+``_admits(fid, dom)``: the leaves whose every path test on ``fid`` meets the
+child's domain ``dom`` on its side, memoized per ``(fid, dom)``. The mask
+also tells which reachable tests are ambiguous: those with reachable leaves
+on both sides. A tree's ``(lo, hi, first splits)`` range is therefore a
+function of its mask; it is memoized per tree, and a miss is one walk
+restricted to the mask with the box walk's tie rules. The map sends each
+feature with a reachable ambiguous test to the first such test node in the
+tree's preorder, and the first tree in tree order that maps the split feature
+names the split. Each heap entry carries its box's ranges with their masks,
+and a child looks a range up only where its mask shrank. Bounds and gaps are
+still summed over all trees in tree-index order, so they are bit-identical to
+a full re-walk of every tree, and so are the pops and the result. The memos
+live on the model's ``_TreeOracle`` and go with it.
 
 A witness is materialized from the first popped box whose floor reaches the
 target: every feature whose instance cell lies in the box's domain keeps the
@@ -112,32 +120,60 @@ class SufficiencyResult:
 
 
 class _Objective:
-    """Maximize (base+sum of pos-class trees) - (base+sum of neg-class trees)."""
+    """Maximize (base+sum of pos-class trees) - (base+sum of neg-class trees).
 
-    __slots__ = ("pos", "neg", "pos_trees", "neg_trees", "trees", "pos_base", "neg_base")
+    ``trees`` lists the compiled roots in objective order, ``memos`` each
+    tree's range memo (reachable-leaf mask -> range, shared by every objective
+    of the model), ``tests`` maps a feature to ``(t, its tests)`` for each
+    tree ``t`` that tests it, in objective order, each test as ``(mask, yes
+    leaves, no leaves)``, and ``admits`` memoizes ``_admits``.
+    """
 
-    def __init__(self, cells: CellSystem, pos: int | None, neg: int | None):
+    __slots__ = (
+        "pos", "neg", "pos_trees", "neg_trees", "trees", "pos_base", "neg_base",
+        "memos", "tests", "admits",
+    )
+
+    def __init__(self, cells: CellSystem, pos: int | None, neg: int | None, memos):
         model = cells.model
         self.pos, self.neg = pos, neg
-        self.pos_trees = tuple(r for cid, r in cells.trees if cid == pos)
-        self.neg_trees = tuple(r for cid, r in cells.trees if cid == neg)
-        self.trees = self.pos_trees + self.neg_trees
+        pos_order = [t for t, (cid, _) in enumerate(cells.trees) if cid == pos]
+        order = pos_order + [t for t, (cid, _) in enumerate(cells.trees) if cid == neg]
+        self.trees = tuple(cells.trees[t][1] for t in order)
+        self.pos_trees, self.neg_trees = self.trees[:len(pos_order)], self.trees[len(pos_order):]
         self.pos_base = model.base_score[pos] if pos is not None else 0.0
         self.neg_base = model.base_score[neg] if neg is not None else 0.0
+        self.memos = tuple(memos[t] for t in order)
+        self.tests: dict[int, tuple] | None = None  # built by the first _admits
+        self.admits: dict[tuple[int, int], tuple] = {}
+
+
+def _tests_by_feature(trees) -> dict[int, tuple]:
+    """Feature -> ``(t, its tests)`` per tree ``t`` that tests it, in order."""
+    by_feature: dict[int, dict] = {}
+    for t, root in enumerate(trees):
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node[0] == "test":
+                _, fid, mask, yes, no, yes_leaves, no_leaves = node
+                by_feature.setdefault(fid, {}).setdefault(t, []).append(
+                    (mask, yes_leaves, no_leaves)
+                )
+                stack += (yes, no)
+    return {fid: tuple(per_tree.items()) for fid, per_tree in by_feature.items()}
 
 
 _NO_SPLITS: dict = {}  # a leaf's first splits; shared, never mutated
 
 
-def _tree_range(node, box):
-    """(min leaf, max leaf, first splits) reachable under box.
+def _reach(node, box) -> int:
+    """The mask of the leaves reachable under box.
 
-    The map sends each feature with a reachable ambiguous test to the first
-    such node in preorder, yes branch before no. Decided tests are walked in
-    a loop; only an ambiguous one recurses, into both branches.
+    Decided tests are walked in a loop; only an ambiguous one recurses.
     """
     while node[0] == "test":
-        _, fid, mask, yes, no = node
+        _, fid, mask, yes, no, _, _ = node
         dom = box[fid]
         inside = dom & mask
         if inside == dom:
@@ -145,13 +181,68 @@ def _tree_range(node, box):
         elif not inside:
             node = no
         else:
-            lo_y, hi_y, first_y = _tree_range(yes, box)
-            lo_n, hi_n, first_n = _tree_range(no, box)
+            return _reach(yes, box) | _reach(no, box)
+    return node[2]
+
+
+def _leaf_range(node, reach: int):
+    """(min leaf, max leaf, first splits) over the leaves in the mask ``reach``.
+
+    ``reach`` must be the reachable leaves of some box. A test is ambiguous
+    under that box exactly when both of its subtrees hold reachable leaves.
+    The map sends each feature with a reachable ambiguous test to the first
+    such node in preorder, yes branch before no. Decided tests are walked in
+    a loop; only an ambiguous one recurses, into both branches.
+    """
+    while node[0] == "test":
+        _, fid, _, yes, no, yes_leaves, no_leaves = node
+        if not reach & no_leaves:
+            node = yes
+        elif not reach & yes_leaves:
+            node = no
+        else:
+            lo_y, hi_y, first_y = _leaf_range(yes, reach)
+            lo_n, hi_n, first_n = _leaf_range(no, reach)
             first = first_n | first_y  # a yes-side split comes before a no-side one
             first[fid] = node  # and this node before both
             # min and max, each keeping its first argument on a tie
             return lo_n if lo_n < lo_y else lo_y, hi_n if hi_n > hi_y else hi_y, first
     return node[1], node[1], _NO_SPLITS
+
+
+def _range(obj: _Objective, t: int, reach: int):
+    """Tree ``t``'s ``(lo, hi, first splits, reach)``, through its range memo."""
+    memo = obj.memos[t]
+    found = memo.get(reach)
+    if found is None:
+        found = memo[reach] = (*_leaf_range(obj.trees[t], reach), reach)
+    return found
+
+
+def _admits(obj: _Objective, fid: int, dom: int) -> tuple:
+    """``(t, leaves)`` for each tree ``t`` where ``dom`` shuts out some leaf.
+
+    ``leaves`` are the tree's leaves whose every path test on ``fid`` meets
+    ``dom`` on its side: a yes side needs ``dom & mask``, a no side
+    ``dom & ~mask``. A leaf is reachable under a box exactly when each test
+    on its path meets the box on its side, so narrowing ``fid``'s domain to
+    ``dom`` keeps a reachable leaf exactly when it is in ``leaves``. The mask
+    is a negative int: it also sets every bit past the tree's last leaf.
+    """
+    if obj.tests is None:
+        obj.tests = _tests_by_feature(obj.trees)
+    admits = []
+    for t, tests in obj.tests.get(fid, ()):
+        leaves = -1  # every leaf
+        for mask, yes_leaves, no_leaves in tests:
+            inside = dom & mask
+            if not inside:
+                leaves &= ~yes_leaves
+            elif inside == dom:
+                leaves &= ~no_leaves
+        if leaves != -1:
+            admits.append((t, leaves))
+    return tuple(admits)
 
 
 def _bounds(obj: _Objective, ranges) -> tuple[float, float]:
@@ -164,13 +255,13 @@ def _bounds(obj: _Objective, ranges) -> tuple[float, float]:
     """
     n_pos = len(obj.pos_trees)
     pos_hi = pos_lo = obj.pos_base
-    for lo, hi, _ in ranges[:n_pos]:
+    for lo, hi, _, _ in ranges[:n_pos]:
         pos_hi += hi
         pos_lo += lo
     if obj.neg is None:
         return pos_hi, pos_lo
     neg_lo = neg_hi = obj.neg_base
-    for lo, hi, _ in ranges[n_pos:]:
+    for lo, hi, _, _ in ranges[n_pos:]:
         neg_lo += lo
         neg_hi += hi
     return pos_hi - neg_lo, pos_lo - neg_hi
@@ -178,7 +269,7 @@ def _bounds(obj: _Objective, ranges) -> tuple[float, float]:
 
 def _split_box(box, node):
     """``box`` cut at the compiled test ``node``: the yes side, then the no side."""
-    _, fid, mask, _, _ = node
+    fid, mask = node[1], node[2]
     dom = box[fid]
     yes_box = list(box)
     no_box = list(box)
@@ -196,23 +287,24 @@ def _maximize(obj: _Objective, box, fail_below: float | None = None, strict: boo
     reaches it is returned with that floor, and an emptied heap gives
     (None, None).
 
-    A heap entry carries its box's per-tree ranges; a child re-walks only the
-    trees whose parent range maps the split feature, and the first of them
-    gives the split.
+    A heap entry carries its box's per-tree ranges, each with its mask of
+    reachable leaves; a child ANDs a tree's mask with the leaves its split
+    domain admits, and looks the range up by the new mask only if it shrank.
     """
     target = fail_below
     if strict and target is not None:  # x > t exactly when x >= the next float above t
         target = math.nextafter(target, math.inf)
-    ranges = [_tree_range(root, box) for root in obj.trees]
+    ranges = [_range(obj, t, _reach(root, box)) for t, root in enumerate(obj.trees)]
     bound, floor = _bounds(obj, ranges)
     heap = [(-bound, 0, box, ranges, floor)] if target is None or bound >= target else []
     seq = 1
+    admits_memo = obj.admits
     while heap:
         nbound, _, cur, ranges, floor = heapq.heappop(heap)
         if target is not None and floor >= target:
             return floor, cur
         gaps: dict[int, float] = {}
-        for lo, hi, first in ranges:
+        for lo, hi, first, _ in ranges:
             if first:
                 gap = hi - lo
                 for f in first:
@@ -223,11 +315,21 @@ def _maximize(obj: _Objective, box, fail_below: float | None = None, strict: boo
         for f, gap in gaps.items():
             if gap > best or (gap == best and f < fid):
                 fid, best = f, gap
-        touched = [t for t, r in enumerate(ranges) if fid in r[2]]
-        for child in _split_box(cur, ranges[touched[0]][2][fid]):
+        for _, _, first, _ in ranges:
+            if fid in first:
+                node = first[fid]
+                break
+        for child in _split_box(cur, node):
+            key = (fid, child[fid])
+            admits = admits_memo.get(key)
+            if admits is None:
+                admits = admits_memo[key] = _admits(obj, fid, child[fid])
             cranges = ranges.copy()
-            for t in touched:
-                cranges[t] = _tree_range(obj.trees[t], child)
+            for t, leaves in admits:
+                reach = cranges[t][3]
+                narrowed = reach & leaves
+                if narrowed != reach:
+                    cranges[t] = _range(obj, t, narrowed)
             cbound, cfloor = _bounds(obj, cranges)
             if target is None or cbound >= target:
                 heapq.heappush(heap, (-cbound, seq, child, cranges, cfloor))
@@ -244,11 +346,12 @@ class _TreeOracle:
         self.model = model
         self.cells = CellSystem(model)
         self._objectives: dict[tuple, _Objective] = {}
+        self._range_memos = tuple({} for _ in self.cells.trees)
 
     def objective(self, pos: int | None, neg: int | None) -> _Objective:
         key = (pos, neg)
         if key not in self._objectives:
-            self._objectives[key] = _Objective(self.cells, pos, neg)
+            self._objectives[key] = _Objective(self.cells, pos, neg, self._range_memos)
         return self._objectives[key]
 
     def box_for(self, v: Instance, fixed) -> tuple:

@@ -160,7 +160,7 @@ def fabricate_report(entries, m=6):
     axps = tuple(
         Explanation(
             kind="axp",
-            features=frozenset(features),
+            mask=sum(1 << fid for fid in features),
             instance=Instance(values=tuple([False] * m)),
             class_id=0,
             discovery_index=i,

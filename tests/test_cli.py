@@ -479,6 +479,11 @@ _REPORT = {
     ("explain", {"model.json": [{"nodeid": 0, "split": True, "split_condition": 0.5, "yes": 1, "no": 2,
                                  "children": [{"nodeid": 1, **_LEAF}, {"nodeid": 2, **_LEAF}]}]},
      [], "tree 0"),
+    *(("explain", {"model.json": [{"nodeid": 0, "split": "a", "split_condition": 0.5, **ids,
+                                   "children": [{"nodeid": 1, **_LEAF}, {"nodeid": nodeid, **_LEAF}]}]},
+       [], "tree 0")
+      for ids, nodeid in (({"yes": True, "no": 2}, 2), ({"yes": 1.0, "no": 2}, 2),
+                          ({"yes": 1, "no": 2}, 2.0), ({"yes": 1, "no": 1}, 1))),
     ("explain", {"model.json": {**_MODEL, "trees": [{"class": True, "root": _LEAF}]}}, [], "tree 0"),
     ("explain", {"space.json": {"features": [{"name": "a", "kind": "categorical", "values": [["x"]]}]}},
      [], "features[0]"),
@@ -498,7 +503,8 @@ _REPORT = {
     "reference-without-entries", "grid-over-no-rows",
     "canonical-model-with-base-score", "canonical-model-with-classes",
     "checkpoints-with-wffa-only", "matrix-out-without-grid",
-    "dump-split-is-bool", "canonical-class-is-bool", "categorical-value-is-list",
+    "dump-split-is-bool", "dump-child-id-is-bool", "dump-child-id-is-float",
+    "dump-nodeid-is-float", "dump-nodeids-repeat", "canonical-class-is-bool", "categorical-value-is-list",
     "reference-value-is-string",
 ])
 def test_malformed_document_exits_2(tmp_path, monkeypatch, capsys, command, docs, extra, where):

@@ -1,4 +1,5 @@
 import heapq
+import math
 import random
 from itertools import product
 from bisect import bisect_left
@@ -822,19 +823,22 @@ def test_mask_split_partitions_like_the_set_split(kind):
 
 def test_incremental_search_walks_fewer_trees_on_interop(monkeypatch, interop):
     # The flip search of one query with every feature free, once per engine.
+    # The kernel walks a tree to find its reachable leaves at the root box and
+    # to read a range it has not memoized; it runs on a fresh oracle, so no
+    # range is memoized before the query.
     model, v = interop[0], interop[1][1]
     c = evaluate(model, v).class_id
     pos, neg, strict = (None, 1, True) if c == 1 else (1, None, False)
     walks = [0]
 
-    def counting(tree_range):
+    def counting(tree_walk):
         depth = [0]
 
-        def walk(node, box):
+        def walk(node, arg):
             walks[0] += depth[0] == 0
             depth[0] += 1
             try:
-                return tree_range(node, box)
+                return tree_walk(node, arg)
             finally:
                 depth[0] -= 1
 
@@ -842,9 +846,10 @@ def test_incremental_search_walks_fewer_trees_on_interop(monkeypatch, interop):
 
     # a walk may recurse through its module's global name; only the outer
     # call, a walk started by the search, counts
-    monkeypatch.setattr(oracle, "_tree_range", counting(oracle._tree_range))
+    monkeypatch.setattr(oracle, "_reach", counting(oracle._reach))
+    monkeypatch.setattr(oracle, "_leaf_range", counting(oracle._leaf_range))
     monkeypatch.setitem(globals(), "_reference_tree_range", counting(_reference_tree_range))
-    compiled = oracle._tree_oracle(model)
+    compiled = oracle._TreeOracle(model)
     got = oracle._maximize(
         compiled.objective(pos, neg), compiled.box_for(v, frozenset()), 0.0, strict
     )
@@ -859,6 +864,116 @@ def test_incremental_search_walks_fewer_trees_on_interop(monkeypatch, interop):
     # the verdict is compared, not the box
     assert got[1] is not None and expected[1] is not None
     assert incremental < reference, (incremental, reference)
+
+
+# --- ranges from reachable-leaf masks against the box walk -------------------------
+
+
+def _box_walk_range(node, box):
+    """(min leaf, max leaf, first splits) reachable under box, by walking the box.
+
+    A frozen copy of the walk that each child box made before reachable-leaf
+    masks: the same tie rules and the same first-split map.
+    """
+    while node[0] == "test":
+        _, fid, mask, yes, no = node[:5]
+        dom = box[fid]
+        inside = dom & mask
+        if inside == dom:
+            node = yes
+        elif not inside:
+            node = no
+        else:
+            lo_y, hi_y, first_y = _box_walk_range(yes, box)
+            lo_n, hi_n, first_n = _box_walk_range(no, box)
+            first = first_n | first_y
+            first[fid] = node
+            return lo_n if lo_n < lo_y else lo_y, hi_n if hi_n > hi_y else hi_y, first
+    return node[1], node[1], {}
+
+
+def _tie_node(rng, space, depth):
+    """A random tree over few features, so that paths test a feature twice,
+    with leaves drawn from a small pool that holds both signed zeros."""
+    if depth == 0 or rng.random() < 0.2:
+        return Leaf(rng.choice((0.0, -0.0, 0.0, -0.0, 0.5, -0.5, 1.0)))
+    spec = space[rng.randrange(space.m)]
+    yes, no = _tie_node(rng, space, depth - 1), _tie_node(rng, space, depth - 1)
+    if spec.kind == "ordinal":
+        return ThresholdSplit(spec.fid, float(rng.randint(1, 6)), yes=yes, no=no)
+    if spec.kind == "categorical":
+        values = frozenset(rng.sample(spec.values, rng.randint(1, len(spec.values) - 1)))
+        return MembershipSplit(spec.fid, values, yes=yes, no=no)
+    return BooleanSplit(spec.fid, yes=yes, no=no)
+
+
+def _tests_twice_on_a_path(node, seen=()):
+    if node[0] == "leaf":
+        return False
+    fid = node[1]
+    return fid in seen or any(_tests_twice_on_a_path(child, seen + (fid,)) for child in node[3:5])
+
+
+def _leaf_values(node):
+    """(bit, weight) of each leaf of a compiled tree, in preorder."""
+    if node[0] == "leaf":
+        return [(node[2], node[1])]
+    return _leaf_values(node[3]) + _leaf_values(node[4])
+
+
+def _same_range(got, expected):
+    (lo, hi, first), (elo, ehi, efirst) = got, expected
+    return (
+        lo.hex() == elo.hex() and hi.hex() == ehi.hex()
+        and math.copysign(1.0, lo) == math.copysign(1.0, elo)
+        and math.copysign(1.0, hi) == math.copysign(1.0, ehi)
+        and list(first) == list(efirst) and all(first[f] is efirst[f] for f in first)
+    )
+
+
+def test_leaf_masks_give_the_box_walk_ranges(rng):
+    # Root boxes are random sub-domains; each child narrows one feature's
+    # domain to a random non-empty part of it, three times in a row. A
+    # child's mask must be the parent's ANDed with what its domain admits,
+    # and the range read from a mask must equal the box walk's bit for bit.
+    space = FeatureSpace((
+        FeatureSpec(0, "x", "ordinal", lo=0.0, hi=10.0),
+        FeatureSpec(1, "y", "ordinal", lo=0.0, hi=10.0),
+        FeatureSpec(2, "colour", "categorical", values=("a", "b", "c", "d")),
+        FeatureSpec(3, "flag", "boolean"),
+    ))
+    checked = twice = zero_ties = split = shrunk = 0
+    for _ in range(150):
+        model = TreeEnsemble(space, ("n", "y"), tuple(
+            Tree(1, _tie_node(rng, space, rng.randint(1, 5))) for _ in range(3)
+        ))
+        compiled = oracle._TreeOracle(model)
+        obj = compiled.objective(1, None)
+        sizes = compiled.cells.sizes
+        for _ in range(4):
+            box = tuple(rng.randrange(1, 1 << size) for size in sizes)
+            reach = [oracle._reach(root, box) for root in obj.trees]
+            for step in range(4):
+                if step:
+                    fid = rng.randrange(len(sizes))
+                    dom = box[fid] & rng.randrange(1, 1 << sizes[fid]) or box[fid]
+                    split += dom != box[fid]
+                    box = box[:fid] + (dom,) + box[fid + 1:]
+                    admits = dict(oracle._admits(obj, fid, dom))
+                    narrowed = [r & admits.get(t, r) for t, r in enumerate(reach)]
+                    shrunk += narrowed != reach
+                    reach = narrowed
+                for t, root in enumerate(obj.trees):
+                    assert reach[t] == oracle._reach(root, box)
+                    expected = _box_walk_range(root, box)
+                    assert _same_range(oracle._leaf_range(root, reach[t]), expected)
+                    values = {math.copysign(1.0, w) for bit, w in _leaf_values(root)
+                              if reach[t] & bit and w == 0.0}
+                    zero_ties += len(values) == 2 and 0.0 in expected[:2]
+                    twice += _tests_twice_on_a_path(root)
+                    checked += 1
+    assert checked > 5000 and twice > 2000 and zero_ties > 500, (checked, twice, zero_ties)
+    assert split > 500 and shrunk > 300, (split, shrunk)
 
 
 # --- the threshold search accepts and prunes by bounds ---------------------------
