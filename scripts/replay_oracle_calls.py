@@ -5,7 +5,8 @@ Runs enumerations, either complete ones of interop rows or the budgeted
 ones of one ``synth-oracle`` seed (the models, points, call budget and mode
 of ``perfbench/workloads.py``), with ``_find_counterexample_unchecked``
 wrapped in ``ffax.enumeration`` so that every call's model, point, class,
-fixed features and answer are kept. The calls are then replayed in order,
+fixed features, ``away`` feature (the dropped feature of a one-sided AXp
+trial, else None) and answer are kept. The calls are then replayed in order,
 as the enumerations made them, and every verdict and witness must equal the
 recorded one.
 
@@ -48,13 +49,13 @@ def interop_runs(rows):
 
 
 def record(runs, mode, budget=None):
-    """Every ``_find_counterexample_unchecked`` call as ``(model, v, c, fixed, answer)``."""
+    """Every ``_find_counterexample_unchecked`` call as ``(model, v, c, fixed, away, answer)``."""
     original = enumeration._find_counterexample_unchecked
     calls = []
 
-    def recording(model, v, c, fixed):
-        answer = original(model, v, c, fixed)
-        calls.append((model, v, c, fixed, answer))
+    def recording(model, v, c, fixed, away=None):
+        answer = original(model, v, c, fixed, away)
+        calls.append((model, v, c, fixed, away, answer))
         return answer
 
     enumeration._find_counterexample_unchecked = recording
@@ -72,9 +73,9 @@ def replay(calls):
     """Seconds spent in the replayed calls, from no compiled model. Checks every answer."""
     oracle._last_oracle = None
     spent = 0.0
-    for model, v, c, fixed, expected in calls:
+    for model, v, c, fixed, away, expected in calls:
         start = time.perf_counter()
-        answer = oracle._find_counterexample_unchecked(model, v, c, fixed)
+        answer = oracle._find_counterexample_unchecked(model, v, c, fixed, away)
         spent += time.perf_counter() - start
         if answer != expected:
             raise SystemExit(f"replayed answer {answer} differs from recorded {expected}")
@@ -109,6 +110,7 @@ def main() -> int:
         "python": platform.python_version(),
         "calls": len(calls),
         "flips": sum(answer is not None for *_, answer in calls),
+        "one_sided": sum(away is not None for *_, away, _ in calls),
         "us_per_call_min": round(1e6 * min(totals) / len(calls), 1),
         "us_per_call_median": round(1e6 * statistics.median(totals) / len(calls), 1),
         "replay_s_each": [round(t, 4) for t in totals],

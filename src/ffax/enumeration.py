@@ -329,7 +329,13 @@ def extract_axp(
     _moved: frozenset[int] | None = None,
     _targets: list[list[int]] | None = None,
 ) -> frozenset[int]:
-    """Deletion-based shrink of a sufficient ``seed`` to an AXp; see ``_extract``."""
+    """Deletion-based shrink of a sufficient ``seed`` to an AXp; see ``_extract``.
+
+    With ``_verify_seed=False`` the seed must force ``c``, unchecked: each
+    trial searches only the points that move its dropped feature off ``v``'s
+    cell, which decides the trial exactly only when the current set forces
+    ``c``.
+    """
     return _extract(AXP, model, v, c, seed, order, _clock, _verify_seed, _moved, _targets)
 
 
@@ -387,6 +393,13 @@ def _extract(kind, model, v, c, seed, order, clock, verify_seed, moved, targets)
     kept as well; the counterexample of a skipped AXp trial would never have
     decided a later AXp trial. So the result is the same and only calls are
     saved.
+
+    An AXp trial is one-sided: it passes the dropped feature to the oracle
+    as ``away``. The current set forces ``c``, so no point that keeps the
+    dropped feature in ``v``'s cell flips, and the oracle searches only the
+    points that move it off that cell. The verdict, hence the result and the
+    call count, is that of a search of the whole box; the counterexample may
+    be another, and it still differs from ``v`` at the dropped feature.
     """
     current = frozenset(seed)
     if verify_seed:
@@ -399,14 +412,16 @@ def _extract(kind, model, v, c, seed, order, clock, verify_seed, moved, targets)
         if targets is not None and any(t & mask == bit for t in targets[fid]):
             continue  # the trial misses a collected target, which refutes it
         trial = current - {fid}
-        holds, moved = _holds(kind, model, v, c, trial, clock, moved)
+        away = fid if kind == AXP else None
+        holds, moved = _holds(kind, model, v, c, trial, clock, moved, away)
         if holds:
             current = trial
             mask ^= bit
     return current
 
 
-def _holds(kind, model, v, c, features: frozenset[int], clock: _Clock | None, moved=None):
+def _holds(kind, model, v, c, features: frozenset[int], clock: _Clock | None, moved=None,
+           away=None):
     """Does ``features`` hold as ``kind``? The answer and the last counterexample's ``moved``.
 
     An AXp set holds when fixing it forces ``c``, a CXp set when freeing it
@@ -415,13 +430,15 @@ def _holds(kind, model, v, c, features: frozenset[int], clock: _Clock | None, mo
     an earlier counterexample differs from ``v``; if none of them is fixed,
     that counterexample is one here too, and "a flip exists" needs no oracle call.
     Otherwise one oracle call decides, and a counterexample it finds
-    replaces ``moved``.
+    replaces ``moved``. ``away``, the feature an AXp trial drops, goes to the
+    oracle, which then searches only the points that move it off ``v``'s
+    cell (see ``_extract``).
     """
     fixed = features if kind == AXP else model.space.all_features() - features
     if moved is None or not moved.isdisjoint(fixed):
         if clock is not None:
             clock.before_call()
-        found = _find_counterexample_unchecked(model, v, c, fixed)
+        found = _find_counterexample_unchecked(model, v, c, fixed, away)
         if found is None:
             return kind == AXP, moved
         moved = frozenset(fid for fid, x in enumerate(v.values) if found.values[fid] != x)

@@ -59,6 +59,18 @@ a feature is what lets extraction decide a later trial that fixes the feature
 without a call, and a box accepted before it is determined leaves more
 features on the instance's cell.
 
+One-sided trials. A deletion trial of AXp extraction drops a feature ``f``
+from a set ``C`` that forces the class, and asks whether fixing ``C - {f}``
+admits a flip. A point whose ``f`` lies in the instance's cell is a point of
+``box(C)``, which has none, so the trial names ``f`` as ``away`` and the
+search runs only on the slab of ``box(C - {f})`` where ``f``'s domain is
+every cell but the instance's. The verdict is the trial's, and so is every
+call count; a feature with one cell gives an empty slab, hence "no flip"
+without a search. The witness is read against the unsliced box: the slab
+already moved ``f`` off the instance's cell, and read against the slab, an
+unsplit ``f`` would keep the instance's value, a point outside the slab that
+does not flip.
+
 Class change is decided per the model's tie rule: for a single-score binary
 model with prediction 1 the query is min score < 0, with prediction 0 it is
 max score >= 0; for multiclass it is a disjunction over rival classes c' of
@@ -362,14 +374,24 @@ class _TreeOracle:
             for fid, size in enumerate(cells.sizes)
         )
 
-    def find_class_change(self, v: Instance, c: int, fixed) -> Instance | None:
+    def find_class_change(
+        self, v: Instance, c: int, fixed, away: int | None = None
+    ) -> Instance | None:
         """A domain-valid x agreeing with v on ``fixed`` with class != c.
 
         x keeps v's exact value on every feature whose cell lies in the
         domain of the witness box, the first popped box whose floor flips,
-        fixed or free (see the module docstring).
+        fixed or free (see the module docstring). With ``away`` set, a free
+        feature such that ``fixed | {away}`` forces c, only the slab where
+        ``away`` leaves v's cell is searched (see "one-sided trials").
         """
         box = self.box_for(v, fixed)
+        search = box
+        if away is not None:
+            slab = box[away] & ~(1 << self.cells.cell_of(away, v.values[away]))
+            if not slab:
+                return None
+            search = box[:away] + (slab,) + box[away + 1:]
         # (pos, neg, strict): a flip needs max(pos - neg) >= 0, or > 0 if strict
         if not self.model.single_score:  # ties go to the lower class id
             queries = [(rival, c, rival > c) for rival in range(self.model.k) if rival != c]
@@ -378,7 +400,7 @@ class _TreeOracle:
         else:  # flip needs score >= 0
             queries = [(1, None, False)]
         for pos, neg, strict in queries:
-            _, wbox = _maximize(self.objective(pos, neg), box, fail_below=0.0, strict=strict)
+            _, wbox = _maximize(self.objective(pos, neg), search, fail_below=0.0, strict=strict)
             if wbox is not None:
                 return _witness_point(self.cells, v, box, wbox)
         return None
@@ -499,12 +521,18 @@ def find_counterexample(
 
 
 def _find_counterexample_unchecked(
-    model: Model, v: Instance, c: int, fixed: frozenset[int]
+    model: Model, v: Instance, c: int, fixed: frozenset[int], away: int | None = None
 ) -> Instance | None:
-    """``find_counterexample`` by the features it fixes, on inputs already checked."""
+    """``find_counterexample`` by the features it fixes, on inputs already checked.
+
+    ``away``, a free feature, may be given only when ``fixed | {away}`` forces
+    ``c``: every flip then moves ``away`` out of v's cell, and a tree ensemble
+    searches only there (see "one-sided trials" in the module docstring). A
+    linear model ignores it.
+    """
     if isinstance(model, LinearModel):
         return _linear_counterexample(model, v, c, fixed)
-    return _tree_oracle(model).find_class_change(v, c, fixed)
+    return _tree_oracle(model).find_class_change(v, c, fixed, away)
 
 
 def decide_sufficiency(

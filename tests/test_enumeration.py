@@ -99,6 +99,39 @@ def test_extract_axp_seed_precondition():
         extract_axp(model, Instance((True, True)), 1, seed={0})
 
 
+def test_unverified_axp_seed_must_force_the_prediction():
+    # Class 1 unless a holds and b does not. The seed {a} does not force
+    # class 1 (b = False flips it). Unverified, the trial that drops a
+    # searches only a = False, where nothing flips, and drops it: the result
+    # is then not sufficient. Verified, the seed is refused.
+    model = TreeEnsemble(boolean_space(2), ("f", "t"), (Tree(1, BooleanSplit(
+        0, yes=BooleanSplit(1, yes=Leaf(1.0), no=Leaf(-1.0)), no=Leaf(1.0),
+    )),))
+    v = Instance((True, True))
+    with pytest.raises(ContractError, match="seed"):
+        extract_axp(model, v, 1, seed={0})
+    assert extract_axp(model, v, 1, seed={0}, _verify_seed=False) == frozenset()
+    assert not decide_sufficiency(model, v, 1, ()).sufficient
+
+
+def test_extract_axp_on_linear_models_ignores_the_slab(rng):
+    # a linear model answers every trial on its whole box, as it did before
+    # trials were one-sided: the same sets with the same calls
+    unchecked = enumeration._find_counterexample_unchecked
+    for _ in range(40):
+        m = rng.randint(1, 7)
+        model, space = random_linear(rng, m)
+        v = random_instance(rng, space)
+        c = evaluate(model, v).class_id
+        order = rng.sample(range(m), m)
+        expected = _reference_extract(AXP, model, v, c, range(m), order)
+        clock = _Clock(Budget.unlimited())
+        assert (extract_axp(model, v, c, range(m), order, _clock=clock), clock.calls) == expected
+        for fid in range(m):
+            fixed = model.space.all_features() - {fid}
+            assert unchecked(model, v, c, fixed, fid) == unchecked(model, v, c, fixed)
+
+
 def test_extract_axp_result_is_minimal_and_sufficient(rng):
     for _ in range(25):
         m = rng.randint(2, 7)

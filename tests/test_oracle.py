@@ -9,9 +9,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import linear_corner_flip, naive_class
-from ffax import oracle
+from ffax import enumeration, oracle
 from ffax.cells import CellSystem, class_grid
-from ffax.enumeration import brute_force_all_xps
+from ffax.enumeration import (
+    Budget,
+    _Clock,
+    brute_force_all_xps,
+    enumerate_explanations,
+    extract_axp,
+)
 from ffax.errors import CapabilityError, CapacityError, ContractError
 from ffax.model import (
     BooleanSplit,
@@ -1013,3 +1019,112 @@ def test_threshold_search_with_every_child_pruned_finds_nothing(monkeypatch):
     assert pops == [box]
     monkeypatch.undo()
     assert oracle._maximize(compiled.objective(1, None), box) == (1.0, (0b10, 0b11))
+
+
+# --- one-sided AXp trials -----------------------------------------------------------
+
+
+@st.composite
+def one_sided_trials(draw):
+    """A tree ensemble (single-score, two-score binary or 3-class), an instance,
+    and a set that forces its prediction, grown from a random subset."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 6))
+    space = random_space(rng, m)
+    shape = draw(st.sampled_from(("single-score", "binary", "multiclass")))
+    model = random_ensemble(
+        rng, space, n_trees=rng.randint(1, 6), depth=rng.randint(1, 3),
+        k=3 if shape == "multiclass" else 2,
+    )
+    if shape == "binary":  # one score per class
+        model = TreeEnsemble(space, model.class_names, tuple(
+            Tree(t % 2, tree.root) for t, tree in enumerate(model.trees)
+        ))
+    v = random_instance(rng, space)
+    c = evaluate(model, v).class_id
+    fixed = set(draw(st.frozensets(st.integers(0, m - 1))))
+    for fid in draw(st.permutations(range(m))):
+        if brute_force_decide(model, v, c, fixed).sufficient:
+            break
+        fixed.add(fid)
+    return model, v, c, frozenset(fixed)
+
+
+@given(one_sided_trials())
+def test_one_sided_trial_agrees_with_the_full_box(trial):
+    model, v, c, sufficient = trial
+    assert brute_force_decide(model, v, c, sufficient).sufficient
+    cells = oracle._tree_oracle(model).cells
+    for away in sufficient:
+        fixed = sufficient - {away}
+        slab = oracle._find_counterexample_unchecked(model, v, c, fixed, away)
+        full = find_counterexample(model, v, c, model.space.all_features() - fixed)
+        assert (slab is None) == (full is None) == brute_force_decide(model, v, c, fixed).sufficient
+        if slab is None:
+            continue
+        assert validate_instance(model.space, slab) == []
+        assert naive_class(model, slab.values) != c
+        assert evaluate(model, slab).class_id != c
+        assert all(slab.values[fid] == v.values[fid] for fid in fixed)
+        assert cells.cell_of(away, slab.values[away]) != cells.cell_of(away, v.values[away])
+
+
+def test_one_sided_trial_on_a_feature_with_one_cell_searches_nothing(monkeypatch):
+    # No tree tests x, so x has one cell and the slab that moves it off v's
+    # cell is empty: "no flip" without a search, but still one oracle call.
+    space = FeatureSpace((FeatureSpec(0, "a", "boolean"), FeatureSpec(1, "x", "ordinal", lo=0.0, hi=10.0)))
+    model = TreeEnsemble(space, ("f", "t"), (Tree(1, BooleanSplit(0, yes=Leaf(1.0), no=Leaf(-1.0))),))
+    v = Instance((True, 7.25))
+    assert oracle._tree_oracle(model).cells.sizes[1] == 1
+    searches = []
+    maximize = oracle._maximize
+
+    def counting(obj, box, *args, **kwargs):
+        searches.append(box)
+        return maximize(obj, box, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_maximize", counting)
+    assert oracle._find_counterexample_unchecked(model, v, 1, frozenset({0}), 1) is None
+    assert searches == []
+    # the seed check and the trial that drops a search, the trial that drops x does not
+    clock = _Clock(Budget.unlimited())
+    assert extract_axp(model, v, 1, {0, 1}, _clock=clock) == frozenset({0})
+    assert (clock.calls, len(searches)) == (3, 2)
+    # the calls of the enumeration are those of a search per trial
+    report = enumerate_explanations(model, v, budget=Budget.unlimited())
+    assert [(e.kind, e.features, e.oracle_calls) for e in report.events()] == [
+        ("axp", frozenset({0}), 3), ("cxp", frozenset({0}), 4),
+    ]
+    assert report.oracle_calls == 4
+
+
+def test_one_sided_trials_pop_fewer_boxes_on_interop(monkeypatch, interop):
+    # The AXp deletion trials of interop row 7's cxp-first enumeration, each
+    # searched twice on a fresh oracle: on the slab, and on the whole box of
+    # the trial. The verdicts agree and the slab pops fewer boxes.
+    model, v = interop[0], interop[1][7]
+    trials = []
+    unchecked = enumeration._find_counterexample_unchecked
+
+    def recording(model, v, c, fixed, away=None):
+        if away is not None:
+            trials.append((c, fixed, away))
+        return unchecked(model, v, c, fixed, away)
+
+    monkeypatch.setattr(enumeration, "_find_counterexample_unchecked", recording)
+    enumerate_explanations(model, v, budget=Budget.unlimited())
+    monkeypatch.undo()
+    pops, verdicts = {}, {}
+    for one_sided in (True, False):
+        popped = []
+        monkeypatch.setattr(oracle, "heapq", _recording_heapq(popped))
+        compiled = oracle._TreeOracle(model)
+        verdicts[one_sided] = [
+            compiled.find_class_change(v, c, fixed, away if one_sided else None) is None
+            for c, fixed, away in trials
+        ]
+        pops[one_sided] = len(popped)
+        monkeypatch.undo()
+    assert len(trials) == 2294
+    assert verdicts[True] == verdicts[False]
+    assert (pops[True], pops[False]) == (6329, 8048)
