@@ -21,9 +21,9 @@ summary go to stderr.
 
 Re-run it when a change to the engine moves a pin out of the test's window,
 and record the result in CHANGES.md. On the 32-feature x 24-tree grid about
-one seed in 11 is in band (34 of seeds 0-388), and runs near a band edge
-drop out of re-run passes (14 of those 34 did), so give it a wide seed range:
-seeds 0-388 took 59 minutes on two cores, with five re-run passes. Example:
+one seed in 13 is in band (25 of seeds 0-315), and runs near a band edge
+drop out of re-run passes (5 of those 25 did), so give it a wide seed range:
+seeds 0-315 took 43 minutes on two cores, with three re-run passes. Example:
 
     python scripts/calibrate_convergence_pins.py --seeds 0:3000 --features 32 --trees 24
 """

@@ -18,7 +18,7 @@ machine, is the steadier figure to compare. The enumerations themselves are
 not timed. Examples:
 
     python scripts/replay_hitting_sets.py --interop 4,7 --mode axp-first
-    python scripts/replay_hitting_sets.py --pin 259 --mode cxp-first
+    python scripts/replay_hitting_sets.py --pin 280 --mode cxp-first
 """
 
 import argparse

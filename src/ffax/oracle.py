@@ -16,11 +16,15 @@ bound); in the search with no threshold, popped best-first, the first such
 box is a global optimum.
 
 A threshold search (a flip query) asks only whether the objective reaches a
-target somewhere. It returns the first popped box whose floor reaches the
-target, determined or not, since every point of that box does. It pushes no
-box whose bound cannot reach the target, and answers "unreachable" when its
-heap empties. The floor is tested when a box is popped, so the boxes it pops
-are a prefix of those that a search down to a determined box pops.
+target somewhere, so it is ordered for that question and not for the
+optimum. It accepts the root if the root's floor reaches the target, and
+answers "unreachable" at once if the root's bound cannot. Otherwise it pops
+boxes by bound plus floor, highest first, and accepts a child as soon as it
+is made if its floor reaches the target, before it would be pushed: every
+point of that box reaches the target. It pushes no box whose bound cannot
+reach the target, and answers "unreachable" when its heap empties. Every
+"unreachable" is thus an exhaustive search and every accepted box a flip,
+whatever the pop order; the order decides only which box is accepted.
 
 Branching picks the free feature with the largest total bound gap (sum of
 hi-lo over trees whose path is ambiguous because of it, in tree-index order),
@@ -50,14 +54,15 @@ still summed over all trees in tree-index order, so they are bit-identical to
 a full re-walk of every tree, and so are the pops and the result. The memos
 live on the model's ``_TreeOracle`` and go with it.
 
-A witness is materialized from the first popped box whose floor reaches the
-target: every feature whose instance cell lies in the box's domain keeps the
+A witness is materialized from the box that the threshold search accepts:
+every feature whose instance cell lies in the box's domain keeps the
 instance's exact value, fixed or free, and every other feature takes the
 representative of its lowest cell in the box. This is exact: every point of
 the box scores at least its floor. A witness that agrees with the instance on
 a feature is what lets extraction decide a later trial that fixes the feature
 without a call, and a box accepted before it is determined leaves more
-features on the instance's cell.
+features on the instance's cell. The instance's cells are computed once per
+instance (``_TreeOracle.cell_masks`` keeps the last one's).
 
 One-sided trials. A deletion trial of AXp extraction drops a feature ``f``
 from a set ``C`` that forces the class, and asks whether fixing ``C - {f}``
@@ -92,7 +97,7 @@ from typing import Iterable
 import numpy as np
 
 from .cells import CellSystem, class_grid
-from .errors import CapabilityError, ContractError
+from .errors import CapabilityError, ContractError, ValidationError
 from .model import (
     BOOLEAN,
     Instance,
@@ -100,6 +105,7 @@ from .model import (
     Model,
     TreeEnsemble,
     evaluate,
+    validate_instance,
 )
 
 
@@ -294,10 +300,11 @@ def _maximize(obj: _Objective, box, fail_below: float | None = None, strict: boo
     """Exact max of the objective and an optimal box.
 
     With ``fail_below`` set, search for a box whose every point reaches the
-    target (>= fail_below, or > with strict) instead: no box whose bound
-    cannot reach the target is pushed, the first popped box whose floor
-    reaches it is returned with that floor, and an emptied heap gives
-    (None, None).
+    target (>= fail_below, or > with strict) instead, and return it with its
+    floor: the root if its floor reaches the target, else the first child
+    whose floor does, as soon as it is made. Boxes pop by bound plus floor,
+    no box whose bound cannot reach the target is pushed, and an emptied
+    heap gives (None, None).
 
     A heap entry carries its box's per-tree ranges, each with its mask of
     reachable leaves; a child ANDs a tree's mask with the leaves its split
@@ -308,21 +315,26 @@ def _maximize(obj: _Objective, box, fail_below: float | None = None, strict: boo
         target = math.nextafter(target, math.inf)
     ranges = [_range(obj, t, _reach(root, box)) for t, root in enumerate(obj.trees)]
     bound, floor = _bounds(obj, ranges)
-    heap = [(-bound, 0, box, ranges, floor)] if target is None or bound >= target else []
+    order = -bound
+    if target is not None:
+        if floor >= target:
+            return floor, box
+        if bound < target:
+            return None, None
+        order -= floor  # a threshold search pops by bound plus floor
+    heap = [(order, 0, box, ranges)]
     seq = 1
     admits_memo = obj.admits
     while heap:
-        nbound, _, cur, ranges, floor = heapq.heappop(heap)
-        if target is not None and floor >= target:
-            return floor, cur
+        order, _, cur, ranges = heapq.heappop(heap)
         gaps: dict[int, float] = {}
         for lo, hi, first, _ in ranges:
             if first:
                 gap = hi - lo
                 for f in first:
                     gaps[f] = gaps.get(f, 0.0) + gap
-        if not gaps:  # determined; a threshold search has returned it already
-            return -nbound, cur
+        if not gaps:  # determined; a threshold search accepted it when it was made
+            return -order, cur
         fid, best = -1, -1.0  # every gap is >= 0
         for f, gap in gaps.items():
             if gap > best or (gap == best and f < fid):
@@ -343,9 +355,15 @@ def _maximize(obj: _Objective, box, fail_below: float | None = None, strict: boo
                 if narrowed != reach:
                     cranges[t] = _range(obj, t, narrowed)
             cbound, cfloor = _bounds(obj, cranges)
-            if target is None or cbound >= target:
-                heapq.heappush(heap, (-cbound, seq, child, cranges, cfloor))
-                seq += 1
+            corder = -cbound
+            if target is not None:
+                if cfloor >= target:
+                    return cfloor, child
+                if cbound < target:
+                    continue
+                corder -= cfloor
+            heapq.heappush(heap, (corder, seq, child, cranges))
+            seq += 1
     if target is None:
         raise AssertionError("search exhausted without a determined box")
     return None, None
@@ -359,6 +377,8 @@ class _TreeOracle:
         self.cells = CellSystem(model)
         self._objectives: dict[tuple, _Objective] = {}
         self._range_memos = tuple({} for _ in self.cells.trees)
+        self._full = tuple((1 << size) - 1 for size in self.cells.sizes)
+        self._v_cells: tuple[Instance | None, tuple] = (None, ())
 
     def objective(self, pos: int | None, neg: int | None) -> _Objective:
         key = (pos, neg)
@@ -366,13 +386,18 @@ class _TreeOracle:
             self._objectives[key] = _Objective(self.cells, pos, neg, self._range_memos)
         return self._objectives[key]
 
+    def cell_masks(self, v: Instance) -> tuple:
+        """``1 << cell`` of v's cell per feature, memoized for the last v."""
+        last, masks = self._v_cells
+        if last is not v:
+            masks = tuple(1 << cell for cell in self.cells.instance_cells(v))
+            self._v_cells = (v, masks)
+        return masks
+
     def box_for(self, v: Instance, fixed) -> tuple:
         """Each fixed feature's domain is v's cell, each free one's all cells, as bitmasks."""
-        cells = self.cells
-        return tuple(
-            1 << cells.cell_of(fid, v.values[fid]) if fid in fixed else (1 << size) - 1
-            for fid, size in enumerate(cells.sizes)
-        )
+        masks = self.cell_masks(v)
+        return tuple(masks[fid] if fid in fixed else full for fid, full in enumerate(self._full))
 
     def find_class_change(
         self, v: Instance, c: int, fixed, away: int | None = None
@@ -380,15 +405,15 @@ class _TreeOracle:
         """A domain-valid x agreeing with v on ``fixed`` with class != c.
 
         x keeps v's exact value on every feature whose cell lies in the
-        domain of the witness box, the first popped box whose floor flips,
-        fixed or free (see the module docstring). With ``away`` set, a free
-        feature such that ``fixed | {away}`` forces c, only the slab where
-        ``away`` leaves v's cell is searched (see "one-sided trials").
+        domain of the witness box, the box whose floor flips that the search
+        accepts, fixed or free (see the module docstring). With ``away`` set,
+        a free feature such that ``fixed | {away}`` forces c, only the slab
+        where ``away`` leaves v's cell is searched (see "one-sided trials").
         """
         box = self.box_for(v, fixed)
         search = box
         if away is not None:
-            slab = box[away] & ~(1 << self.cells.cell_of(away, v.values[away]))
+            slab = box[away] & ~self.cell_masks(v)[away]
             if not slab:
                 return None
             search = box[:away] + (slab,) + box[away + 1:]
@@ -402,8 +427,25 @@ class _TreeOracle:
         for pos, neg, strict in queries:
             _, wbox = _maximize(self.objective(pos, neg), search, fail_below=0.0, strict=strict)
             if wbox is not None:
-                return _witness_point(self.cells, v, box, wbox)
+                return self._witness_point(v, box, wbox)
         return None
+
+    def _witness_point(self, v: Instance, box, wbox) -> Instance:
+        """A point of the box ``wbox``, searched from ``box``, like v.
+
+        It keeps v's exact value on every feature whose domain holds v's cell
+        and takes the representative of the domain's lowest cell elsewhere.
+        Only a domain the search split can have lost v's cell: every other one
+        still equals ``box``'s, a fixed feature's cell or a free feature's
+        full domain.
+        """
+        masks = self.cell_masks(v)
+        reps = self.cells.reps
+        values = list(v.values)
+        for fid, dom in enumerate(wbox):
+            if dom != box[fid] and not dom & masks[fid]:
+                values[fid] = reps[fid][(dom & -dom).bit_length() - 1]
+        return Instance(values=tuple(values))
 
     def score_bounds(self, box, pair: tuple[int, int] | None) -> ScoreBounds:
         if pair is None and not self.model.single_score:
@@ -412,23 +454,6 @@ class _TreeOracle:
         hi, _ = _maximize(self.objective(plus, minus), box)
         neg_hi, _ = _maximize(self.objective(minus, plus), box)
         return ScoreBounds(lo=-neg_hi, hi=hi)
-
-
-def _witness_point(cells: CellSystem, v: Instance, box, wbox) -> Instance:
-    """A point of the box ``wbox``, searched from ``box``, like v.
-
-    It keeps v's exact value on every feature whose domain holds v's cell and
-    takes the representative of the domain's lowest cell elsewhere. Only a
-    domain the search split can have lost v's cell: every other one still
-    equals ``box``'s, a fixed feature's cell or a free feature's full domain.
-    """
-    values = list(v.values)
-    for fid, dom in enumerate(wbox):
-        if dom != box[fid]:
-            cell = cells.cell_of(fid, values[fid])
-            if not dom >> cell & 1:
-                values[fid] = cells.reps[fid][(dom & -dom).bit_length() - 1]
-    return Instance(values=tuple(values))
 
 
 _last_oracle: _TreeOracle | None = None  # the last model's, so one compiled model at most
@@ -547,8 +572,15 @@ def decide_sufficiency(
 def score_bounds(
     model: TreeEnsemble, pa: PartialAssignment, pair: tuple[int, int] | None = None
 ) -> ScoreBounds:
-    """Attained extrema of the score (or of s_plus - s_minus for ``pair``)."""
+    """Attained extrema of the score (or of s_plus - s_minus for ``pair``).
+
+    The instance must be domain-valid, free features included: the oracle
+    maps every feature of it to its cell.
+    """
     oracle = _tree_oracle(model)
+    violations = validate_instance(model.space, pa.instance)
+    if violations:
+        raise ValidationError(violations[0])
     box = oracle.box_for(pa.instance, _check_features(model, pa.fixed))
     return oracle.score_bounds(box, pair)
 

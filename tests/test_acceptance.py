@@ -181,34 +181,34 @@ def test_criterion_4_attribution_identities():
 # Twenty pinned fuzz models whose complete enumeration lands inside the 10-60 s
 # window, chosen by runtime alone (32 features x 24 trees) by
 # scripts/calibrate_convergence_pins.py --seeds 0:3000 --features 32 --trees 24
-# on a 2-vCPU Intel Xeon box under Python 3.11, after the hitting-set search
-# began to try its last answer's ids first, which took the earlier
-# 24 x 16 pins under the 10 s floor. It scanned seeds 0-388 and kept each pin
-# in its 17-35 s band both in the scan and in a re-run of all twenty in one
-# two-worker pool, in this map order. The two times after each pin are its
-# scan and that re-run. When a pin leaves the window, re-run the script and
-# paste its output here; do not widen the window.
+# on a 2-vCPU Intel Xeon box under Python 3.11, after the flip search began to
+# pop by bound plus floor and to accept a child whose floor flips, which took
+# the fastest earlier pins to the 10 s floor. It scanned seeds 0-315 and kept
+# each pin in its 17-35 s band both in the scan and in a re-run of all twenty
+# in one two-worker pool, in this map order. The two times after each pin are
+# its scan and that re-run. When a pin leaves the window, re-run the script
+# and paste its output here; do not widen the window.
 CONVERGENCE_MODELS: tuple[tuple[int, int, int], ...] = (  # (seed, features, trees)
-    (6, 32, 24),  # 30.7 s, 23.3 s
-    (35, 32, 24),  # 28.7 s, 24.6 s
-    (64, 32, 24),  # 27.2 s, 19.7 s
-    (106, 32, 24),  # 21.3 s, 20.4 s
-    (114, 32, 24),  # 28.5 s, 27.4 s
-    (124, 32, 24),  # 33.7 s, 23.4 s
-    (125, 32, 24),  # 28.1 s, 26.9 s
-    (183, 32, 24),  # 21.0 s, 18.7 s
-    (259, 32, 24),  # 20.3 s, 18.2 s
-    (261, 32, 24),  # 24.4 s, 25.1 s
-    (265, 32, 24),  # 19.3 s, 21.1 s
-    (284, 32, 24),  # 25.5 s, 24.7 s
-    (299, 32, 24),  # 31.3 s, 30.2 s
-    (332, 32, 24),  # 32.0 s, 28.4 s
-    (345, 32, 24),  # 26.5 s, 22.2 s
-    (358, 32, 24),  # 23.1 s, 19.1 s
-    (362, 32, 24),  # 19.1 s, 19.0 s
-    (386, 32, 24),  # 18.3 s, 20.2 s
-    (387, 32, 24),  # 19.1 s, 23.1 s
-    (388, 32, 24),  # 19.7 s, 19.1 s
+    (7, 32, 24),  # 24.1 s, 29.3 s
+    (26, 32, 24),  # 23.5 s, 24.9 s
+    (106, 32, 24),  # 17.7 s, 19.4 s
+    (114, 32, 24),  # 25.1 s, 26.9 s
+    (117, 32, 24),  # 22.1 s, 19.7 s
+    (119, 32, 24),  # 22.9 s, 24.5 s
+    (125, 32, 24),  # 21.9 s, 22.0 s
+    (143, 32, 24),  # 26.0 s, 30.3 s
+    (182, 32, 24),  # 17.0 s, 19.5 s
+    (205, 32, 24),  # 23.3 s, 25.8 s
+    (213, 32, 24),  # 29.8 s, 26.8 s
+    (223, 32, 24),  # 26.0 s, 27.2 s
+    (228, 32, 24),  # 27.6 s, 25.5 s
+    (280, 32, 24),  # 33.7 s, 33.6 s
+    (281, 32, 24),  # 29.7 s, 26.7 s
+    (298, 32, 24),  # 23.9 s, 27.0 s
+    (299, 32, 24),  # 20.3 s, 20.8 s
+    (302, 32, 24),  # 20.7 s, 23.1 s
+    (303, 32, 24),  # 17.5 s, 19.2 s
+    (315, 32, 24),  # 23.0 s, 23.4 s
 )
 CONVERGENCE_MARKS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 

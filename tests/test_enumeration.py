@@ -732,6 +732,11 @@ def _report_digest(reports) -> str:
 # extraction decides more trials without a call; only call counts moved
 # (rows 4 and 7 complete in 1175 and 708 calls). Sets and order are the
 # pinned ones, and cxp-first does not move: an AXp trial uses no witness.
+# The interop axp-first digest was re-pinned again when the flip search
+# began to pop by bound plus floor and to accept a child whose floor flips
+# as soon as it is made: it returns other witness boxes, so extraction
+# decides other CXp trials without a call; only call counts moved (rows 4
+# and 7 complete in 1137 and 729 calls). cxp-first does not move.
 @pytest.mark.parametrize("source, mode, digest", [
     ("adult", "cxp-first",
      "2a223f2db3c81e762907772e0d4005faf31ba97c317492687919f15c6e180d3f"),
@@ -740,7 +745,7 @@ def _report_digest(reports) -> str:
     ("interop", "cxp-first",
      "2d0a510a66cae255f3278c8762cd1d93d4a18b27ae622cd1fdf551880f9925df"),
     ("interop", "axp-first",
-     "70ccbca537b39d716544ac142199f177da4e4767f4e307571114fbdbc4df7d74"),
+     "10bda3ab4bb1667ad7bc8d0d488186e99165b48cc7b5b7a1090b8f5b5fd3d1b8"),
 ], ids=["adult-cxp-first", "adult-axp-first", "interop-cxp-first", "interop-axp-first"])
 def test_reports_are_pinned(adult_model, adult_instance, interop, source, mode, digest):
     if source == "adult":
@@ -783,8 +788,11 @@ def test_axp_first_call_totals_are_pinned(complete_axp_first):
     # which moved the candidates. They took 1255 and 887 calls before the
     # flip search stopped at the first box whose lower bound flips; its
     # witnesses keep the instance's value on more features, so more CXp
-    # trials are decided without a call.
-    assert [r.oracle_calls for r in complete_axp_first] == [9, 1175, 708]
+    # trials are decided without a call. They took 1175 and 708 calls before
+    # the flip search popped by bound plus floor and accepted a child whose
+    # floor flips as soon as it was made; its witnesses moved, and with them
+    # the CXp trials decided without a call (1883 -> 1866 in total).
+    assert [r.oracle_calls for r in complete_axp_first] == [9, 1137, 729]
 
 
 @pytest.mark.parametrize("mode", ["cxp-first", "axp-first"])

@@ -18,7 +18,7 @@ from ffax.enumeration import (
     enumerate_explanations,
     extract_axp,
 )
-from ffax.errors import CapabilityError, CapacityError, ContractError
+from ffax.errors import CapabilityError, CapacityError, ContractError, ValidationError
 from ffax.model import (
     BooleanSplit,
     FeatureSpace,
@@ -210,6 +210,31 @@ def test_free_feature_no_tree_reads_keeps_the_instance_value():
     assert find_counterexample(model, v, 1, {0, 1, 2}) == Instance((False, 7.25, "blue"))
 
 
+def test_boxes_of_alternating_instances_match_cell_of(rng):
+    # The oracle keeps the cell masks of the last instance it saw; queries
+    # that alternate two instances must each get the box of their own.
+    for _ in range(30):
+        m = rng.randint(2, 8)
+        space = random_space(rng, m)
+        model = random_ensemble(rng, space, n_trees=rng.randint(1, 6), depth=rng.randint(1, 4))
+        compiled = oracle._TreeOracle(model)
+        cells = compiled.cells
+        points = [random_instance(rng, space) for _ in range(2)]
+        for step in range(8):
+            v = points[step % 2]
+            fixed = {fid for fid in range(m) if rng.random() < 0.5}
+            expected = tuple(
+                1 << cells.cell_of(fid, v.values[fid]) if fid in fixed else (1 << size) - 1
+                for fid, size in enumerate(cells.sizes)
+            )
+            assert compiled.box_for(v, fixed) == expected
+            c = evaluate(model, v).class_id
+            witness = compiled.find_class_change(v, c, fixed)
+            if witness is not None:
+                assert all(witness.values[fid] == v.values[fid] for fid in fixed)
+                assert evaluate(model, witness).class_id != c
+
+
 # --- score_bounds -------------------------------------------------------------
 
 
@@ -231,6 +256,19 @@ def test_bounds_all_fixed_equals_prediction(adult_model, adult_instance):
     pa = PartialAssignment(instance=adult_instance, fixed=frozenset(range(6)))
     bounds = score_bounds(adult_model, pa)
     assert bounds.lo == bounds.hi == pytest.approx(-0.4073, abs=1e-12)
+
+
+@pytest.mark.parametrize("fixed", [frozenset({0}), frozenset({1})])
+def test_bounds_refuse_a_value_outside_its_domain(fixed):
+    # "green" is outside colour's domain, whether colour is free or fixed
+    space = FeatureSpace((
+        FeatureSpec(0, "a", "boolean"),
+        FeatureSpec(1, "colour", "categorical", values=("red", "blue")),
+    ))
+    root = MembershipSplit(1, frozenset({"red"}), yes=Leaf(1.0), no=Leaf(0.5))
+    model = TreeEnsemble(space, ("f", "t"), (Tree(1, root),))
+    with pytest.raises(ValidationError, match="outside declared domain"):
+        score_bounds(model, PartialAssignment(Instance((True, "green")), fixed))
 
 
 def test_bounds_single_boolean_split():
@@ -590,23 +628,31 @@ def _reference_tree_range(node, box):
 
 
 def _reference_analyze(obj, box):
+    """The bound, the floor and the gaps of ``box``.
+
+    The bound adds the positive trees' max leaves and the negative trees'
+    min leaves, the floor the other extremes, each per class in tree order.
+    """
     gaps = {}
-    pos_acc = obj.pos_base
+    pos_hi = pos_lo = obj.pos_base
     for root in obj.pos_trees:
         lo, hi, amb = _reference_tree_range(root, box)
-        pos_acc = pos_acc + hi
+        pos_hi = pos_hi + hi
+        pos_lo = pos_lo + lo
         if amb:
             for fid in amb:
                 gaps[fid] = gaps.get(fid, 0.0) + (hi - lo)
-    neg_acc = obj.neg_base
+    neg_lo = neg_hi = obj.neg_base
     for root in obj.neg_trees:
         lo, hi, amb = _reference_tree_range(root, box)
-        neg_acc = neg_acc + lo
+        neg_lo = neg_lo + lo
+        neg_hi = neg_hi + hi
         if amb:
             for fid in amb:
                 gaps[fid] = gaps.get(fid, 0.0) + (hi - lo)
-    bound = pos_acc - neg_acc if obj.neg is not None else pos_acc
-    return bound, gaps
+    if obj.neg is None:
+        return pos_hi, pos_lo, gaps
+    return pos_hi - neg_lo, pos_lo - neg_hi, gaps
 
 
 def _reference_first_ambiguous_test(obj, box, fid):
@@ -658,27 +704,47 @@ def _reference_maximize(obj, box, fail_below=None, strict=False, pops=None):
 
     It shares no code with ``oracle``: the compiled trees, the boxes, the
     tree walk, the branching test and the split are frozen copies of the
-    set-based originals over the same cell partition.
+    set-based originals over the same cell partition. With ``fail_below``
+    set it follows the threshold rule: the root, or else the first child
+    whose floor reaches the target, is returned as soon as it is made,
+    boxes pop by bound plus floor, and a box whose bound cannot reach the
+    target is dropped.
     """
-    bound, gaps = _reference_analyze(obj, box)
-    heap = [(-bound, 0, box, gaps)]
+
+    def reaches(x):
+        return x > fail_below if strict else x >= fail_below
+
+    def key(bound, floor):
+        return -bound if fail_below is None else -(bound + floor)
+
+    bound, floor, gaps = _reference_analyze(obj, box)
+    if fail_below is not None:
+        if reaches(floor):
+            return floor, box
+        if not reaches(bound):
+            return None, None
+    heap = [(key(bound, floor), 0, box, bound, gaps)]
     seq = 1
     while heap:
-        nbound, _, cur, gaps = heapq.heappop(heap)
+        _, _, cur, bound, gaps = heapq.heappop(heap)
         if pops is not None:
             pops.append(cur)
-        bound = -nbound
-        if fail_below is not None and (bound < fail_below or (strict and bound <= fail_below)):
-            return None, None
         if not gaps:
             return bound, cur
         fid = max(gaps, key=lambda f: (gaps[f], -f))
         children = _reference_split_box(cur, fid, _reference_first_ambiguous_test(obj, cur, fid))
         for child in children:
-            cbound, cgaps = _reference_analyze(obj, child)
-            heapq.heappush(heap, (-cbound, seq, child, cgaps))
+            cbound, cfloor, cgaps = _reference_analyze(obj, child)
+            if fail_below is not None:
+                if reaches(cfloor):
+                    return cfloor, child
+                if not reaches(cbound):
+                    continue
+            heapq.heappush(heap, (key(cbound, cfloor), seq, child, cbound, cgaps))
             seq += 1
-    raise AssertionError("search exhausted without a determined box")
+    if fail_below is None:
+        raise AssertionError("search exhausted without a determined box")
+    return None, None
 
 
 def _recording_heapq(pops):
@@ -709,13 +775,10 @@ def _box_objectives(model, cells, box, pos, neg):
         yield pos_score - scores[neg] if neg is not None else pos_score
 
 
-def test_incremental_search_matches_full_recompute(rng, monkeypatch):
-    # The search with no threshold must match the frozen reference bit for
-    # bit, result and pops. A threshold search stops at the first popped box
-    # whose floor reaches the target, and pushes no child whose bound cannot:
-    # its verdict matches the reference's, its pops are a prefix of the
-    # reference's, and every point of the box it returns reaches the target.
-    searches = branched = early = 0
+def _random_searches(rng):
+    """Random searches over random ensembles: ``(model, cells, compiled, v,
+    pos, neg, fixed, fail_below, strict)``, with ``fail_below`` None for a
+    search with no threshold."""
     for _ in range(400):
         m = rng.randint(2, 9)
         space = random_space(rng, m)
@@ -734,33 +797,72 @@ def test_incremental_search_matches_full_recompute(rng, monkeypatch):
             fixed = {fid for fid in range(m) if rng.random() < 0.4}
             fail_below = rng.choice((None, 0.0, 0.0, round(rng.uniform(-1.5, 1.5), 2)))
             strict = rng.random() < 0.5
-            expected_pops, pops = [], []
-            expected = _reference_maximize(
-                _reference_objective(model, pos, neg), _reference_box_for(cells, v, fixed),
-                fail_below, strict, expected_pops,
-            )
-            monkeypatch.setattr(oracle, "heapq", _recording_heapq(pops))
-            got = oracle._maximize(
-                compiled.objective(pos, neg), compiled.box_for(v, fixed), fail_below, strict
-            )
+            yield model, cells, compiled, v, pos, neg, fixed, fail_below, strict
+
+
+def test_incremental_search_matches_full_recompute(rng, monkeypatch):
+    # Every search must match the frozen reference bit for bit, result and
+    # pops. With no threshold the reference is the best-bound search; with
+    # one, it pops by bound plus floor and returns the root or the first
+    # child whose floor reaches the target as soon as it is made.
+    searches = branched = made = 0
+    for model, cells, compiled, v, pos, neg, fixed, fail_below, strict in _random_searches(rng):
+        expected_pops, pops = [], []
+        box = compiled.box_for(v, fixed)
+        expected = _reference_maximize(
+            _reference_objective(model, pos, neg), _reference_box_for(cells, v, fixed),
+            fail_below, strict, expected_pops,
+        )
+        monkeypatch.setattr(oracle, "heapq", _recording_heapq(pops))
+        got = oracle._maximize(compiled.objective(pos, neg), box, fail_below, strict)
+        monkeypatch.undo()
+        assert _bit_exact(got) == _bit_exact(expected)
+        assert [_as_masks(b) for b in pops] == [_as_masks(b) for b in expected_pops]
+        searches += 1
+        branched += len(pops) > 1
+        made += fail_below is not None and got[1] is not None and got[1] != box
+    assert searches > 1000 and branched > 500 and made > 300, (searches, branched, made)
+
+
+class _AnyOrderHeap:
+    """A stand-in for the oracle's heapq that pops a random entry."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def heappush(self, heap, entry):
+        heap.append(entry)
+
+    def heappop(self, heap):
+        return heap.pop(self.rng.randrange(len(heap)))
+
+
+def test_threshold_search_is_exact_in_any_pop_order(rng, monkeypatch):
+    # Whatever order boxes pop in, a threshold search returns a box exactly
+    # when the maximum reaches the target, every point of that box reaches
+    # it, and the returned floor is at most the box's least objective. Each
+    # search runs with the heap and again with random pops.
+    found = missed = 0
+    order = random.Random(7)
+    for model, cells, compiled, v, pos, neg, fixed, fail_below, strict in _random_searches(rng):
+        if fail_below is None:
+            continue
+        obj, box = compiled.objective(pos, neg), compiled.box_for(v, fixed)
+        best, _ = oracle._maximize(obj, box)
+        for heap in (heapq, _AnyOrderHeap(order)):
+            monkeypatch.setattr(oracle, "heapq", heap)
+            floor, wbox = oracle._maximize(obj, box, fail_below, strict)
             monkeypatch.undo()
-            pops = [_as_masks(box) for box in pops]
-            expected_pops = [_as_masks(box) for box in expected_pops]
-            if fail_below is None:
-                assert _bit_exact(got) == _bit_exact(expected)
-                assert pops == expected_pops
-            else:
-                assert (got[1] is None) == (expected[1] is None)
-                assert pops == expected_pops[:len(pops)]
-                if got[1] is not None:
-                    assert pops[-1] == got[1]
-                    values = list(_box_objectives(model, cells, got[1], pos, neg))
-                    assert all(_reaches(x, fail_below, strict) for x in values)
-                    assert _reaches(got[0], fail_below, strict) and got[0] <= min(values)
-                    early += len(pops) < len(expected_pops)
-            searches += 1
-            branched += len(expected_pops) > 1
-    assert searches > 1000 and branched > 500 and early > 300, (searches, branched, early)
+            assert (wbox is not None) == _reaches(best, fail_below, strict)
+            if wbox is None:
+                missed += 1
+                continue
+            assert all(dom & ~outer == 0 for dom, outer in zip(wbox, box))
+            values = list(_box_objectives(model, cells, wbox, pos, neg))
+            assert all(_reaches(x, fail_below, strict) for x in values)
+            assert _reaches(floor, fail_below, strict) and floor <= min(values)
+            found += 1
+    assert found > 1000 and missed > 300, (found, missed)
 
 
 def test_equal_gaps_split_the_lower_feature_id_first(monkeypatch):
@@ -866,9 +968,7 @@ def test_incremental_search_walks_fewer_trees_on_interop(monkeypatch, interop):
         _reference_box_for(CellSystem(model), v, frozenset()), 0.0, strict,
     )
     reference = walks[0]
-    # the incremental search also stops at a box whose floor flips, so only
-    # the verdict is compared, not the box
-    assert got[1] is not None and expected[1] is not None
+    assert got[1] is not None and _bit_exact(got) == _bit_exact(expected)
     assert incremental < reference, (incremental, reference)
 
 
@@ -986,10 +1086,10 @@ def test_leaf_masks_give_the_box_walk_ranges(rng):
 
 
 def test_flip_search_accepts_a_box_whose_floor_flips(monkeypatch):
-    # Once a holds, every b flips (1.0 - 0.1 >= 0), so the search stops at
-    # the box a = True, b open, after one split: the root, then that box. The
-    # witness keeps v's b = False, where a search down to a determined box
-    # would have taken the better b = True.
+    # Once a holds, every b flips (1.0 - 0.1 >= 0), so the search accepts
+    # the box a = True, b open, as soon as the root's split makes it: only
+    # the root pops. The witness keeps v's b = False, where a search down to
+    # a determined box would have taken the better b = True.
     model = TreeEnsemble(_two_booleans(), ("n", "y"), (
         Tree(1, BooleanSplit(0, yes=Leaf(1.0), no=Leaf(-1.0))),
         Tree(1, BooleanSplit(1, yes=Leaf(0.1), no=Leaf(-0.1))),
@@ -999,7 +1099,7 @@ def test_flip_search_accepts_a_box_whose_floor_flips(monkeypatch):
     pops = []
     monkeypatch.setattr(oracle, "heapq", _recording_heapq(pops))
     witness = find_counterexample(model, v, 0, {0, 1})
-    assert pops == [(0b11, 0b11), (0b10, 0b11)]
+    assert pops == [(0b11, 0b11)]
     assert witness == Instance((True, False))
     assert evaluate(model, witness).class_id == 1
 
@@ -1101,7 +1201,9 @@ def test_one_sided_trial_on_a_feature_with_one_cell_searches_nothing(monkeypatch
 def test_one_sided_trials_pop_fewer_boxes_on_interop(monkeypatch, interop):
     # The AXp deletion trials of interop row 7's cxp-first enumeration, each
     # searched twice on a fresh oracle: on the slab, and on the whole box of
-    # the trial. The verdicts agree and the slab pops fewer boxes.
+    # the trial. The verdicts agree and the slab pops fewer boxes. The counts
+    # were (6329, 8048) before the flip search popped by bound plus floor and
+    # accepted a child whose floor flips as soon as it was made.
     model, v = interop[0], interop[1][7]
     trials = []
     unchecked = enumeration._find_counterexample_unchecked
@@ -1127,4 +1229,4 @@ def test_one_sided_trials_pop_fewer_boxes_on_interop(monkeypatch, interop):
         monkeypatch.undo()
     assert len(trials) == 2294
     assert verdicts[True] == verdicts[False]
-    assert (pops[True], pops[False]) == (6329, 8048)
+    assert (pops[True], pops[False]) == (5607, 7313)
