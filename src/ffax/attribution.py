@@ -39,18 +39,20 @@ class AttributionVector:
         return len(self.values)
 
 
-def _check_axps(axps: list[frozenset[int]], m: int) -> None:
+def _checked_axps(axps: Iterable[frozenset[int]], m: int) -> list[frozenset[int]]:
+    """The collection as a list, after checking it is non-empty and inside 0..m-1."""
+    axps = [frozenset(s) for s in axps]
+    if not axps:
+        raise UndefinedAttributionError("attribution over zero explanations is undefined")
     for s in axps:
         if not all(0 <= fid < m for fid in s):
             raise ContractError(f"explanation {sorted(s)} outside feature range 0..{m - 1}")
+    return axps
 
 
 def ffa(axps: Iterable[frozenset[int]], m: int, complete: bool = False) -> AttributionVector:
     """Occurrence fraction per feature over the collected AXp's."""
-    axps = [frozenset(s) for s in axps]
-    if not axps:
-        raise UndefinedAttributionError("attribution over zero explanations is undefined")
-    _check_axps(axps, m)
+    axps = _checked_axps(axps, m)
     counts = [0] * m
     for s in axps:
         for fid in s:
@@ -66,10 +68,7 @@ def ffa(axps: Iterable[frozenset[int]], m: int, complete: bool = False) -> Attri
 
 def wffa(axps: Iterable[frozenset[int]], m: int, complete: bool = False) -> AttributionVector:
     """Inverse-size-weighted occurrence per feature; sums to 1 over features."""
-    axps = [frozenset(s) for s in axps]
-    if not axps:
-        raise UndefinedAttributionError("attribution over zero explanations is undefined")
-    _check_axps(axps, m)
+    axps = _checked_axps(axps, m)
     if any(len(s) == 0 for s in axps):
         raise DegenerateExplanationError(
             "weighted attribution divides by explanation size; got an empty explanation"

@@ -34,8 +34,8 @@ from typing import Iterable, Sequence
 
 from .cells import class_grid
 from .errors import CapacityError, ContractError
-from .model import Instance, Model, TreeEnsemble, evaluate
-from .oracle import _find_counterexample_unchecked, _tree_oracle
+from .model import Instance, Model, TreeEnsemble
+from .oracle import _check_features, _check_predicted, _find_counterexample_unchecked, _tree_oracle
 
 AXP = "axp"
 CXP = "cxp"
@@ -309,15 +309,6 @@ def _check_order(order: Sequence[int] | None, m: int) -> None:
         raise ContractError(f"scan order must be a permutation of the feature ids 0..{m - 1}")
 
 
-def _scan_order(seed: Iterable[int], order: Sequence[int] | None, m: int) -> list[int]:
-    """The features of ``seed`` in ``order``, a permutation of all ``m`` feature ids."""
-    seed = set(seed)
-    if order is None:
-        return sorted(seed)
-    _check_order(order, m)
-    return [fid for fid in order if fid in seed]
-
-
 def extract_axp(
     model: Model,
     v: Instance,
@@ -370,7 +361,10 @@ def _extract(kind, model, v, c, seed, order, clock, verify_seed, moved, targets)
 
     The enumeration loop extracts its duals with it. Features are scanned in
     ascending id order (or the explicit ``order``); each is dropped iff the
-    remainder still holds as ``kind`` (see ``_holds``).
+    remainder still holds as ``kind`` (see ``_holds``). With ``verify_seed``
+    the inputs are checked first: ``v`` predicted ``c``, the seed's ids, the
+    order, and that the seed holds. The loop, which checked its inputs once,
+    passes False and nothing is re-checked.
 
     The last counterexample seen is kept, as the set ``moved`` of features
     where it differs from ``v``, and decides a trial without an oracle call
@@ -403,11 +397,14 @@ def _extract(kind, model, v, c, seed, order, clock, verify_seed, moved, targets)
     """
     current = frozenset(seed)
     if verify_seed:
+        _check_predicted(model, v, c)
+        _check_features(model, current)
+        _check_order(order, model.space.m)
         holds, moved = _holds(kind, model, v, c, current, clock, moved)
         if not holds:
             raise ContractError(_SEED_ERRORS[kind])
     mask = _mask(current)
-    for fid in _scan_order(current, order, model.space.m):
+    for fid in sorted(current) if order is None else [f for f in order if f in current]:
         bit = 1 << fid
         if targets is not None and any(t & mask == bit for t in targets[fid]):
             continue  # the trial misses a collected target, which refutes it
@@ -469,12 +466,8 @@ def enumerate_explanations(
     """
     if mode not in ("cxp-first", "axp-first"):
         raise ContractError(f"unknown mode {mode!r}")
+    c = _check_predicted(model, v, c)
     _check_order(order, model.space.m)
-    predicted = evaluate(model, v).class_id
-    if c is None:
-        c = predicted
-    elif c != predicted:
-        raise ContractError(f"instance is predicted class {predicted}, not {c}")
     budget = budget or Budget.unlimited()
     clock = _Clock(budget)
     m = model.space.m
@@ -558,8 +551,7 @@ def brute_force_all_xps(
     m = model.space.m
     if m > 20:
         raise CapacityError(f"2^{m} subsets exceed the brute-force cap (m <= 20)", size=2**m)
-    if evaluate(model, v).class_id != c:
-        raise ContractError("instance is not predicted as class c")
+    _check_predicted(model, v, c)
     classes = class_grid(cells, {})
     v_cells = cells.instance_cells(v)
     flip = classes != c

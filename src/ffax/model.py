@@ -279,14 +279,12 @@ def tree_leaf(root: Node, values: Sequence) -> float:
 class LinearModel:
     """Binary weighted-score model over ordinal/boolean features.
 
-    ``link`` affects only probability rendering (logistic squashes the score);
-    the class decision is always the sign rule: class 1 iff score >= 0.
+    The class decision is the sign rule: class 1 iff score >= 0.
     """
 
     space: FeatureSpace
     weights: tuple[float, ...]
     bias: float = 0.0
-    link: str = "identity"
     class_names: tuple[str, str] = ("0", "1")
 
     def __post_init__(self):
@@ -294,8 +292,6 @@ class LinearModel:
             raise ValidationError(
                 f"need {self.space.m} weights, got {len(self.weights)}"
             )
-        if self.link not in ("identity", "logistic"):
-            raise ValidationError(f"unknown link {self.link!r}")
         lo_sum = hi_sum = self.bias
         for spec, w in zip(self.space.features, self.weights):
             if spec.kind == CATEGORICAL:

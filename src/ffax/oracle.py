@@ -140,25 +140,23 @@ class SufficiencyResult:
 class _Objective:
     """Maximize (base+sum of pos-class trees) - (base+sum of neg-class trees).
 
-    ``trees`` lists the compiled roots in objective order, ``memos`` each
-    tree's range memo (reachable-leaf mask -> range, shared by every objective
-    of the model), ``tests`` maps a feature to ``(t, its tests)`` for each
-    tree ``t`` that tests it, in objective order, each test as ``(mask, yes
-    leaves, no leaves)``, and ``admits`` memoizes ``_admits``.
+    ``trees`` lists the compiled roots in objective order, the ``n_pos``
+    pos-class trees first, ``memos`` each tree's range memo (reachable-leaf
+    mask -> range, shared by every objective of the model), ``tests`` maps a
+    feature to ``(t, its tests)`` for each tree ``t`` that tests it, in
+    objective order, each test as ``(mask, yes leaves, no leaves)``, and
+    ``admits`` memoizes ``_admits``.
     """
 
-    __slots__ = (
-        "pos", "neg", "pos_trees", "neg_trees", "trees", "pos_base", "neg_base",
-        "memos", "tests", "admits",
-    )
+    __slots__ = ("neg", "n_pos", "trees", "pos_base", "neg_base", "memos", "tests", "admits")
 
     def __init__(self, cells: CellSystem, pos: int | None, neg: int | None, memos):
         model = cells.model
-        self.pos, self.neg = pos, neg
+        self.neg = neg
         pos_order = [t for t, (cid, _) in enumerate(cells.trees) if cid == pos]
         order = pos_order + [t for t, (cid, _) in enumerate(cells.trees) if cid == neg]
         self.trees = tuple(cells.trees[t][1] for t in order)
-        self.pos_trees, self.neg_trees = self.trees[:len(pos_order)], self.trees[len(pos_order):]
+        self.n_pos = len(pos_order)
         self.pos_base = model.base_score[pos] if pos is not None else 0.0
         self.neg_base = model.base_score[neg] if neg is not None else 0.0
         self.memos = tuple(memos[t] for t in order)
@@ -271,7 +269,7 @@ def _bounds(obj: _Objective, ranges) -> tuple[float, float]:
     matters: per-class sums are built in tree-index order, then subtracted,
     mirroring evaluate's exact float semantics.
     """
-    n_pos = len(obj.pos_trees)
+    n_pos = obj.n_pos
     pos_hi = pos_lo = obj.pos_base
     for lo, hi, _, _ in ranges[:n_pos]:
         pos_hi += hi
@@ -511,12 +509,18 @@ def decide_sufficiency_linear(
 # --- public operations ---------------------------------------------------------
 
 
-def _check_predicted(model: Model, v: Instance, c: int) -> None:
+def _check_predicted(model: Model, v: Instance, c: int | None = None) -> int:
+    """The class ``model`` predicts for ``v``, which must be ``c`` if given.
+
+    Refuses a model of another kind (``CapabilityError``) and a ``v`` outside
+    the model's domain (``ValidationError``, from ``evaluate``).
+    """
     if not isinstance(model, (TreeEnsemble, LinearModel)):
         raise CapabilityError(f"unsupported model kind {type(model).__name__}")
     actual = evaluate(model, v).class_id
-    if actual != c:
+    if c is not None and actual != c:
         raise ContractError(f"instance is predicted class {actual}, not {c}")
+    return actual
 
 
 def _check_features(model: Model, fids: Iterable[int]) -> frozenset[int]:

@@ -126,10 +126,10 @@ def test_linear_model_score_and_link():
         FeatureSpec(0, "a", "ordinal", lo=0.0, hi=1.0),
         FeatureSpec(1, "b", "boolean"),
     ))
-    model = LinearModel(space=space, weights=(1.0, 1.0), bias=-1.5, link="logistic")
+    model = LinearModel(space=space, weights=(1.0, 1.0), bias=-1.5)
     pred = evaluate(model, Instance((1.0, True)))
     assert pred.scores[1] == pytest.approx(0.5)
-    assert pred.class_id == 1  # logistic link changes rendering, not the decision
+    assert pred.class_id == 1
     pred = evaluate(model, Instance((1.0, False)))
     assert pred.class_id == 0
 

@@ -17,6 +17,7 @@ from ffax.enumeration import (
     brute_force_all_xps,
     enumerate_explanations,
     extract_axp,
+    extract_cxp,
 )
 from ffax.errors import CapabilityError, CapacityError, ContractError, ValidationError
 from ffax.model import (
@@ -467,6 +468,59 @@ def test_linear_entry_points_reject_out_of_range_feature_ids():
         decide_sufficiency(model, v, 1, {0, 2})
     with pytest.raises(ContractError, match="outside feature universe"):
         find_counterexample(model, v, 1, {-1})
+
+
+# --- inputs every public operation refuses -------------------------------------------
+
+
+# Each operation gets (model, v, c, fids): fids is every feature id, or one
+# more for the bad-feature case. Enumeration takes feature ids only as its
+# scan order; brute_force_all_xps takes none.
+PUBLIC_OPERATIONS = {
+    "find_counterexample": lambda model, v, c, fids: find_counterexample(model, v, c, fids),
+    "decide_sufficiency": lambda model, v, c, fids: decide_sufficiency(model, v, c, fids),
+    "brute_force_decide": lambda model, v, c, fids: brute_force_decide(model, v, c, fids),
+    "enumerate_explanations": lambda model, v, c, fids: enumerate_explanations(
+        model, v, c, order=tuple(fids)
+    ),
+    "extract_axp": lambda model, v, c, fids: extract_axp(model, v, c, fids),
+    "extract_cxp": lambda model, v, c, fids: extract_cxp(model, v, c, fids),
+    "brute_force_all_xps": lambda model, v, c, fids: brute_force_all_xps(model, v, c),
+}
+
+# bad input -> (its error, the message it matches)
+BAD_INPUTS = {
+    "wrong-class": (ContractError, "predicted class 1, not 0"),
+    "categorical-outside-domain": (ValidationError, "'x2': value 'purple' outside declared domain"),
+    "ordinal-outside-domain": (ValidationError, "'x0': value 1000000000.0 outside declared domain"),
+    "feature-id-m": (ContractError, "outside feature universe 0..4|permutation of the feature ids 0..4"),
+}
+
+
+@pytest.mark.parametrize("operation, bad", [
+    (operation, bad) for operation in sorted(PUBLIC_OPERATIONS) for bad in sorted(BAD_INPUTS)
+    if (operation, bad) != ("brute_force_all_xps", "feature-id-m")
+])
+def test_public_operations_refuse_bad_inputs(operation, bad):
+    # Seed 0 draws x0 ordinal on [0, 10], x2 categorical over red/green/blue,
+    # and a point predicted class 1.
+    rng = random.Random(0)
+    space = random_space(rng, 5)
+    model = random_ensemble(rng, space, 6)
+    v = random_instance(rng, space)
+    assert evaluate(model, v).class_id == 1
+    c, fids = 1, range(5)
+    if bad == "wrong-class":
+        c = 0
+    elif bad == "categorical-outside-domain":
+        v = Instance(v.values[:2] + ("purple",) + v.values[3:])
+    elif bad == "ordinal-outside-domain":
+        v = Instance((1e9,) + v.values[1:])
+    else:
+        fids = range(6)
+    error, message = BAD_INPUTS[bad]
+    with pytest.raises(error, match=message):
+        PUBLIC_OPERATIONS[operation](model, v, c, fids)
 
 
 # --- tie boundaries of the early stop ------------------------------------------------
