@@ -34,12 +34,20 @@ the yes branch first.
 
 The search is incremental, over reachable leaves. ``CellSystem`` numbers
 each compiled tree's leaves in preorder, yes subtree first, and gives each
-test the leaf bits of its two subtrees. At the root box a walk finds each
-tree's mask ``r`` of reachable leaves. A leaf is reachable exactly when every
-test on its path meets the box on its side (a yes side needs ``dom & mask``,
-a no side ``dom & ~mask``), a conjunction with one conjunct per feature. A
-child box narrows only the split feature's domain, which only shrinks that
-feature's conjunct, so the child's mask is the parent's ANDed with
+test the leaf bits of its two subtrees. A leaf is reachable exactly when
+every test on its path meets the box on its side (a yes side needs
+``dom & mask``, a no side ``dom & ~mask``), a conjunction with one conjunct
+per feature. At the root box no tree is walked. ``_TreeOracle`` lays the
+leaves of all the model's trees out in one bit space, a block per tree, and
+when it first sees an instance it makes one pass over the compiled tests: per
+feature, the leaves some path test shuts out when the feature's domain is the
+instance's cell (``at``), and when it is every other cell (``away``, the
+one-sided slab below). Compilation drops every test that a full domain would
+decide, so a free feature shuts out nothing, and the root's mask ``keep`` is
+the complement of the OR of the fixed features' ``at`` masks (and the slab
+feature's ``away`` mask); each tree reads its block of it. A child box
+narrows only the split feature's domain, which only shrinks that feature's
+conjunct, so the child's mask is the parent's ANDed with
 ``_admits(fid, dom)``: the leaves whose every path test on ``fid`` meets the
 child's domain ``dom`` on its side, memoized per ``(fid, dom)``. The mask
 also tells which reachable tests are ambiguous: those with reachable leaves
@@ -61,8 +69,9 @@ representative of its lowest cell in the box. This is exact: every point of
 the box scores at least its floor. A witness that agrees with the instance on
 a feature is what lets extraction decide a later trial that fixes the feature
 without a call, and a box accepted before it is determined leaves more
-features on the instance's cell. The instance's cells are computed once per
-instance (``_TreeOracle.cell_masks`` keeps the last one's).
+features on the instance's cell. The instance's cells and shut-out masks are
+computed once per instance (``_TreeOracle.instance_masks`` keeps the last
+one's).
 
 One-sided trials. A deletion trial of AXp extraction drops a feature ``f``
 from a set ``C`` that forces the class, and asks whether fixing ``C - {f}``
@@ -141,16 +150,19 @@ class _Objective:
     """Maximize (base+sum of pos-class trees) - (base+sum of neg-class trees).
 
     ``trees`` lists the compiled roots in objective order, the ``n_pos``
-    pos-class trees first, ``memos`` each tree's range memo (reachable-leaf
+    pos-class trees first, ``blocks`` each tree's ``(offset, all leaves)`` in
+    the model's leaf space, ``memos`` each tree's range memo (reachable-leaf
     mask -> range, shared by every objective of the model), ``tests`` maps a
     feature to ``(t, its tests)`` for each tree ``t`` that tests it, in
     objective order, each test as ``(mask, yes leaves, no leaves)``, and
     ``admits`` memoizes ``_admits``.
     """
 
-    __slots__ = ("neg", "n_pos", "trees", "pos_base", "neg_base", "memos", "tests", "admits")
+    __slots__ = (
+        "neg", "n_pos", "trees", "pos_base", "neg_base", "blocks", "memos", "tests", "admits"
+    )
 
-    def __init__(self, cells: CellSystem, pos: int | None, neg: int | None, memos):
+    def __init__(self, cells: CellSystem, pos: int | None, neg: int | None, blocks, memos):
         model = cells.model
         self.neg = neg
         pos_order = [t for t, (cid, _) in enumerate(cells.trees) if cid == pos]
@@ -159,6 +171,7 @@ class _Objective:
         self.n_pos = len(pos_order)
         self.pos_base = model.base_score[pos] if pos is not None else 0.0
         self.neg_base = model.base_score[neg] if neg is not None else 0.0
+        self.blocks = tuple(blocks[t] for t in order)
         self.memos = tuple(memos[t] for t in order)
         self.tests: dict[int, tuple] | None = None  # built by the first _admits
         self.admits: dict[tuple[int, int], tuple] = {}
@@ -181,24 +194,6 @@ def _tests_by_feature(trees) -> dict[int, tuple]:
 
 
 _NO_SPLITS: dict = {}  # a leaf's first splits; shared, never mutated
-
-
-def _reach(node, box) -> int:
-    """The mask of the leaves reachable under box.
-
-    Decided tests are walked in a loop; only an ambiguous one recurses.
-    """
-    while node[0] == "test":
-        _, fid, mask, yes, no, _, _ = node
-        dom = box[fid]
-        inside = dom & mask
-        if inside == dom:
-            node = yes
-        elif not inside:
-            node = no
-        else:
-            return _reach(yes, box) | _reach(no, box)
-    return node[2]
 
 
 def _leaf_range(node, reach: int):
@@ -294,8 +289,13 @@ def _split_box(box, node):
     return tuple(yes_box), tuple(no_box)
 
 
-def _maximize(obj: _Objective, box, fail_below: float | None = None, strict: bool = False):
+def _maximize(
+    obj: _Objective, box, keep: int, fail_below: float | None = None, strict: bool = False
+):
     """Exact max of the objective and an optimal box.
+
+    ``keep`` holds, in the model's leaf space, the leaves reachable under
+    ``box`` (bits past them may be set): ``_TreeOracle.root`` builds both.
 
     With ``fail_below`` set, search for a box whose every point reaches the
     target (>= fail_below, or > with strict) instead, and return it with its
@@ -311,7 +311,7 @@ def _maximize(obj: _Objective, box, fail_below: float | None = None, strict: boo
     target = fail_below
     if strict and target is not None:  # x > t exactly when x >= the next float above t
         target = math.nextafter(target, math.inf)
-    ranges = [_range(obj, t, _reach(root, box)) for t, root in enumerate(obj.trees)]
+    ranges = [_range(obj, t, keep >> off & leaves) for t, (off, leaves) in enumerate(obj.blocks)]
     bound, floor = _bounds(obj, ranges)
     order = -bound
     if target is not None:
@@ -368,7 +368,12 @@ def _maximize(obj: _Objective, box, fail_below: float | None = None, strict: boo
 
 
 class _TreeOracle:
-    """Per-model reusable state: cell system plus compiled objectives."""
+    """Per-model reusable state: cell system plus compiled objectives.
+
+    The leaves of all the model's compiled trees share one bit space, each
+    tree a block at an offset, in the order of ``cells.trees``; ``_shut``
+    maps each feature to its tests there, ``(mask, yes leaves, no leaves)``.
+    """
 
     def __init__(self, model: TreeEnsemble):
         self.model = model
@@ -376,26 +381,80 @@ class _TreeOracle:
         self._objectives: dict[tuple, _Objective] = {}
         self._range_memos = tuple({} for _ in self.cells.trees)
         self._full = tuple((1 << size) - 1 for size in self.cells.sizes)
-        self._v_cells: tuple[Instance | None, tuple] = (None, ())
+        blocks = []
+        self._shut: dict[int, list] = {}
+        offset = 0
+        for _, root in self.cells.trees:
+            leaves = root[2] if root[0] == "leaf" else root[5] | root[6]
+            blocks.append((offset, leaves))
+            stack = [root]
+            while stack:
+                node = stack.pop()
+                if node[0] == "test":
+                    _, fid, mask, yes, no, yes_leaves, no_leaves = node
+                    self._shut.setdefault(fid, []).append(
+                        (mask, yes_leaves << offset, no_leaves << offset)
+                    )
+                    stack += (yes, no)
+            offset += leaves.bit_length()
+        self._blocks = tuple(blocks)
+        self._v_masks: tuple[Instance | None, tuple] = (None, ())
 
     def objective(self, pos: int | None, neg: int | None) -> _Objective:
         key = (pos, neg)
         if key not in self._objectives:
-            self._objectives[key] = _Objective(self.cells, pos, neg, self._range_memos)
+            self._objectives[key] = _Objective(
+                self.cells, pos, neg, self._blocks, self._range_memos
+            )
         return self._objectives[key]
 
-    def cell_masks(self, v: Instance) -> tuple:
-        """``1 << cell`` of v's cell per feature, memoized for the last v."""
-        last, masks = self._v_cells
+    def instance_masks(self, v: Instance) -> tuple:
+        """``(cells, at, away)`` of v, memoized for the last v.
+
+        ``cells[fid]`` is ``1 << cell`` of v's cell. ``at[fid]`` holds the
+        leaves, in the model's leaf space, that some path test on ``fid``
+        shuts out when ``fid``'s domain is v's cell, and ``away[fid]`` those
+        shut out when it is every other cell (the one-sided slab).
+        """
+        last, masks = self._v_masks
         if last is not v:
-            masks = tuple(1 << cell for cell in self.cells.instance_cells(v))
-            self._v_cells = (v, masks)
+            cells = tuple(1 << cell for cell in self.cells.instance_cells(v))
+            at = [0] * len(cells)
+            away = [0] * len(cells)
+            for fid, tests in self._shut.items():
+                cell = cells[fid]
+                slab = self._full[fid] ^ cell
+                shut_at = shut_away = 0
+                for mask, yes, no in tests:
+                    shut_at |= no if cell & mask else yes
+                    inside = slab & mask
+                    if not inside:
+                        shut_away |= yes
+                    elif inside == slab:
+                        shut_away |= no
+                at[fid] = shut_at
+                away[fid] = shut_away
+            masks = (cells, at, away)
+            self._v_masks = (v, masks)
         return masks
 
-    def box_for(self, v: Instance, fixed) -> tuple:
-        """Each fixed feature's domain is v's cell, each free one's all cells, as bitmasks."""
-        masks = self.cell_masks(v)
-        return tuple(masks[fid] if fid in fixed else full for fid, full in enumerate(self._full))
+    def root(self, v: Instance, fixed, away: int | None = None) -> tuple[tuple, int]:
+        """The box of a query and its ``keep`` mask of reachable leaves.
+
+        Each fixed feature's domain is v's cell, each free one's all cells,
+        as bitmasks. With ``away`` (a free feature) set, ``keep`` is the
+        slab's, where ``away`` takes every cell but v's; the box is not
+        sliced. A leaf is reachable exactly when no path test shuts it out,
+        and a full domain shuts out none: compilation drops every test that
+        a full domain would decide.
+        """
+        cells, at, slab = self.instance_masks(v)
+        box = list(self._full)
+        shut = 0 if away is None else slab[away]
+        for fid in fixed:
+            box[fid] = cells[fid]
+            shut |= at[fid]
+        return tuple(box), ~shut
 
     def find_class_change(
         self, v: Instance, c: int, fixed, away: int | None = None
@@ -408,10 +467,10 @@ class _TreeOracle:
         a free feature such that ``fixed | {away}`` forces c, only the slab
         where ``away`` leaves v's cell is searched (see "one-sided trials").
         """
-        box = self.box_for(v, fixed)
+        box, keep = self.root(v, fixed, away)
         search = box
         if away is not None:
-            slab = box[away] & ~self.cell_masks(v)[away]
+            slab = box[away] & ~self.instance_masks(v)[0][away]
             if not slab:
                 return None
             search = box[:away] + (slab,) + box[away + 1:]
@@ -423,7 +482,7 @@ class _TreeOracle:
         else:  # flip needs score >= 0
             queries = [(1, None, False)]
         for pos, neg, strict in queries:
-            _, wbox = _maximize(self.objective(pos, neg), search, fail_below=0.0, strict=strict)
+            _, wbox = _maximize(self.objective(pos, neg), search, keep, 0.0, strict)
             if wbox is not None:
                 return self._witness_point(v, box, wbox)
         return None
@@ -437,7 +496,7 @@ class _TreeOracle:
         still equals ``box``'s, a fixed feature's cell or a free feature's
         full domain.
         """
-        masks = self.cell_masks(v)
+        masks = self.instance_masks(v)[0]
         reps = self.cells.reps
         values = list(v.values)
         for fid, dom in enumerate(wbox):
@@ -445,12 +504,13 @@ class _TreeOracle:
                 values[fid] = reps[fid][(dom & -dom).bit_length() - 1]
         return Instance(values=tuple(values))
 
-    def score_bounds(self, box, pair: tuple[int, int] | None) -> ScoreBounds:
+    def score_bounds(self, v: Instance, fixed, pair: tuple[int, int] | None) -> ScoreBounds:
         if pair is None and not self.model.single_score:
             raise ContractError("multiclass ensembles need an explicit (rival, predicted) pair")
         plus, minus = pair or (1, None)
-        hi, _ = _maximize(self.objective(plus, minus), box)
-        neg_hi, _ = _maximize(self.objective(minus, plus), box)
+        box, keep = self.root(v, fixed)
+        hi, _ = _maximize(self.objective(plus, minus), box, keep)
+        neg_hi, _ = _maximize(self.objective(minus, plus), box, keep)
         return ScoreBounds(lo=-neg_hi, hi=hi)
 
 
@@ -585,8 +645,7 @@ def score_bounds(
     violations = validate_instance(model.space, pa.instance)
     if violations:
         raise ValidationError(violations[0])
-    box = oracle.box_for(pa.instance, _check_features(model, pa.fixed))
-    return oracle.score_bounds(box, pair)
+    return oracle.score_bounds(pa.instance, _check_features(model, pa.fixed), pair)
 
 
 def brute_force_decide(

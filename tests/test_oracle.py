@@ -228,7 +228,7 @@ def test_boxes_of_alternating_instances_match_cell_of(rng):
                 1 << cells.cell_of(fid, v.values[fid]) if fid in fixed else (1 << size) - 1
                 for fid, size in enumerate(cells.sizes)
             )
-            assert compiled.box_for(v, fixed) == expected
+            assert compiled.root(v, fixed)[0] == expected
             c = evaluate(model, v).class_id
             witness = compiled.find_class_change(v, c, fixed)
             if witness is not None:
@@ -862,13 +862,13 @@ def test_incremental_search_matches_full_recompute(rng, monkeypatch):
     searches = branched = made = 0
     for model, cells, compiled, v, pos, neg, fixed, fail_below, strict in _random_searches(rng):
         expected_pops, pops = [], []
-        box = compiled.box_for(v, fixed)
+        box, keep = compiled.root(v, fixed)
         expected = _reference_maximize(
             _reference_objective(model, pos, neg), _reference_box_for(cells, v, fixed),
             fail_below, strict, expected_pops,
         )
         monkeypatch.setattr(oracle, "heapq", _recording_heapq(pops))
-        got = oracle._maximize(compiled.objective(pos, neg), box, fail_below, strict)
+        got = oracle._maximize(compiled.objective(pos, neg), box, keep, fail_below, strict)
         monkeypatch.undo()
         assert _bit_exact(got) == _bit_exact(expected)
         assert [_as_masks(b) for b in pops] == [_as_masks(b) for b in expected_pops]
@@ -901,11 +901,11 @@ def test_threshold_search_is_exact_in_any_pop_order(rng, monkeypatch):
     for model, cells, compiled, v, pos, neg, fixed, fail_below, strict in _random_searches(rng):
         if fail_below is None:
             continue
-        obj, box = compiled.objective(pos, neg), compiled.box_for(v, fixed)
-        best, _ = oracle._maximize(obj, box)
+        obj, (box, keep) = compiled.objective(pos, neg), compiled.root(v, fixed)
+        best, _ = oracle._maximize(obj, box, keep)
         for heap in (heapq, _AnyOrderHeap(order)):
             monkeypatch.setattr(oracle, "heapq", heap)
-            floor, wbox = oracle._maximize(obj, box, fail_below, strict)
+            floor, wbox = oracle._maximize(obj, box, keep, fail_below, strict)
             monkeypatch.undo()
             assert (wbox is not None) == _reaches(best, fail_below, strict)
             if wbox is None:
@@ -936,8 +936,8 @@ def test_equal_gaps_split_the_lower_feature_id_first(monkeypatch):
         return split_box(box, node)
 
     monkeypatch.setattr(oracle, "_split_box", recording)
-    box = compiled.box_for(Instance((False, False)), ())
-    assert oracle._maximize(compiled.objective(1, None), box) == (2.0, (0b10, 0b10))
+    box, keep = compiled.root(Instance((False, False)), ())
+    assert oracle._maximize(compiled.objective(1, None), box, keep) == (2.0, (0b10, 0b10))
     assert split_fids == [0, 1]
 
 
@@ -985,9 +985,10 @@ def test_mask_split_partitions_like_the_set_split(kind):
 
 def test_incremental_search_walks_fewer_trees_on_interop(monkeypatch, interop):
     # The flip search of one query with every feature free, once per engine.
-    # The kernel walks a tree to find its reachable leaves at the root box and
-    # to read a range it has not memoized; it runs on a fresh oracle, so no
-    # range is memoized before the query.
+    # The kernel walks a tree only to read a range it has not memoized: the
+    # root's reachable leaves come from the instance's masks. It runs on a
+    # fresh oracle, so no range is memoized before the query, and then again
+    # on the same oracle, where the root and every box after it walk nothing.
     model, v = interop[0], interop[1][1]
     c = evaluate(model, v).class_id
     pos, neg, strict = (None, 1, True) if c == 1 else (1, None, False)
@@ -1008,15 +1009,15 @@ def test_incremental_search_walks_fewer_trees_on_interop(monkeypatch, interop):
 
     # a walk may recurse through its module's global name; only the outer
     # call, a walk started by the search, counts
-    monkeypatch.setattr(oracle, "_reach", counting(oracle._reach))
     monkeypatch.setattr(oracle, "_leaf_range", counting(oracle._leaf_range))
     monkeypatch.setitem(globals(), "_reference_tree_range", counting(_reference_tree_range))
     compiled = oracle._TreeOracle(model)
-    got = oracle._maximize(
-        compiled.objective(pos, neg), compiled.box_for(v, frozenset()), 0.0, strict
-    )
+    obj, (box, keep) = compiled.objective(pos, neg), compiled.root(v, frozenset())
+    got = oracle._maximize(obj, box, keep, 0.0, strict)
     incremental = walks[0]
     walks[0] = 0
+    assert oracle._maximize(obj, *compiled.root(v, frozenset()), 0.0, strict) == got
+    assert walks[0] == 0
     expected = _reference_maximize(
         _reference_objective(model, pos, neg),
         _reference_box_for(CellSystem(model), v, frozenset()), 0.0, strict,
@@ -1024,6 +1025,92 @@ def test_incremental_search_walks_fewer_trees_on_interop(monkeypatch, interop):
     reference = walks[0]
     assert got[1] is not None and _bit_exact(got) == _bit_exact(expected)
     assert incremental < reference, (incremental, reference)
+
+
+# --- root masks and ranges from reachable-leaf masks against the box walk ----------
+
+
+def _reach(node, box):
+    """The mask of the leaves reachable under box, by walking the tree.
+
+    The reference for the reachable-leaf masks that the oracle builds
+    without a walk: at the root from the instance's shut-out masks, below it
+    by ``_admits``.
+    """
+    while node[0] == "test":
+        _, fid, mask, yes, no = node[:5]
+        dom = box[fid]
+        inside = dom & mask
+        if inside == dom:
+            node = yes
+        elif not inside:
+            node = no
+        else:
+            return _reach(yes, box) | _reach(no, box)
+    return node[2]
+
+
+def test_root_masks_match_the_tree_walk(rng, monkeypatch):
+    # Every tree's root mask, read from the instance's shut-out masks in the
+    # model's leaf space, must equal the walk's, for random fixed sets and
+    # for each one-sided slab, in each objective's tree order (a multiclass
+    # (rival, c) objective puts the rival's trees first). A feature with one
+    # cell shuts out nothing, and its slab is empty: no search is made. The
+    # masks are those the search reads its root ranges by: a target of -inf
+    # stops it at the root.
+    read = []
+    range_of = oracle._range
+
+    def recording(obj, t, reach):
+        read.append((t, reach))
+        return range_of(obj, t, reach)
+
+    monkeypatch.setattr(oracle, "_range", recording)
+    checked = slabs = one_cell = reordered = 0
+    for _ in range(300):
+        m = rng.randint(1, 8)
+        space = random_space(rng, m)
+        k = rng.choice((2, 2, 3))
+        model = random_ensemble(
+            rng, space, n_trees=rng.randint(1, 8), depth=rng.randint(1, 4), k=k
+        )
+        compiled = oracle._TreeOracle(model)
+        sizes = compiled.cells.sizes
+        if model.single_score:
+            pairs = [(1, None), (None, 1)]
+        else:
+            pairs = [(a, b) for a in range(k) for b in range(k) if a != b]
+        objectives = [compiled.objective(pos, neg) for pos, neg in pairs]
+        order = tuple(root for _, root in compiled.cells.trees)
+        reordered += sum(obj.trees != order[:len(obj.trees)] for obj in objectives)
+        for _ in range(3):
+            v = random_instance(rng, space)
+            cells, at, away_masks = compiled.instance_masks(v)
+            for fid, size in enumerate(sizes):
+                if size == 1:
+                    assert at[fid] == away_masks[fid] == 0
+                    one_cell += 1
+            fixed = frozenset(fid for fid in range(m) if rng.random() < 0.5)
+            for away in [None, *sorted(set(range(m)) - fixed)]:
+                box, keep = compiled.root(v, fixed, away)
+                assert box == tuple(
+                    cells[fid] if fid in fixed else (1 << size) - 1
+                    for fid, size in enumerate(sizes)
+                )
+                if away is not None:
+                    slab = box[away] & ~cells[away]
+                    if not slab:
+                        continue
+                    box = box[:away] + (slab,) + box[away + 1:]
+                    slabs += 1
+                for obj in objectives:
+                    read.clear()
+                    assert oracle._maximize(obj, box, keep, -math.inf)[1] == box
+                    assert read == [(t, _reach(root, box)) for t, root in enumerate(obj.trees)]
+                    checked += len(read)
+    assert checked > 25000 and slabs > 1500, (checked, slabs)
+    assert one_cell > 300 and reordered > 400, (one_cell, reordered)
+    assert not hasattr(oracle, "_reach")  # the walk above is the only root walk left
 
 
 # --- ranges from reachable-leaf masks against the box walk -------------------------
@@ -1112,7 +1199,7 @@ def test_leaf_masks_give_the_box_walk_ranges(rng):
         sizes = compiled.cells.sizes
         for _ in range(4):
             box = tuple(rng.randrange(1, 1 << size) for size in sizes)
-            reach = [oracle._reach(root, box) for root in obj.trees]
+            reach = [_reach(root, box) for root in obj.trees]
             for step in range(4):
                 if step:
                     fid = rng.randrange(len(sizes))
@@ -1124,7 +1211,7 @@ def test_leaf_masks_give_the_box_walk_ranges(rng):
                     shrunk += narrowed != reach
                     reach = narrowed
                 for t, root in enumerate(obj.trees):
-                    assert reach[t] == oracle._reach(root, box)
+                    assert reach[t] == _reach(root, box)
                     expected = _box_walk_range(root, box)
                     assert _same_range(oracle._leaf_range(root, reach[t]), expected)
                     values = {math.copysign(1.0, w) for bit, w in _leaf_values(root)
@@ -1166,13 +1253,13 @@ def test_threshold_search_with_every_child_pruned_finds_nothing(monkeypatch):
         Tree(1, BooleanSplit(0, yes=Leaf(0.0), no=Leaf(1.0))),
     ))
     compiled = oracle._tree_oracle(model)
-    box = compiled.box_for(Instance((False, False)), ())
+    box, keep = compiled.root(Instance((False, False)), ())
     pops = []
     monkeypatch.setattr(oracle, "heapq", _recording_heapq(pops))
-    assert oracle._maximize(compiled.objective(1, None), box, 1.5) == (None, None)
+    assert oracle._maximize(compiled.objective(1, None), box, keep, 1.5) == (None, None)
     assert pops == [box]
     monkeypatch.undo()
-    assert oracle._maximize(compiled.objective(1, None), box) == (1.0, (0b10, 0b11))
+    assert oracle._maximize(compiled.objective(1, None), box, keep) == (1.0, (0b10, 0b11))
 
 
 # --- one-sided AXp trials -----------------------------------------------------------
