@@ -13,10 +13,12 @@ recorded one.
 Each replay starts with no compiled model, so it compiles each model's cell
 system at that model's first call, as an enumeration does, and builds the
 oracle's per-model memos from empty; that work is timed with the calls.
-Prints one JSON object: the calls, how many found a flip, and the time per
-call from the minimum and the median of ``--repeats`` replays. The minimum,
-the replay least disturbed by the rest of the machine, is the steadier
-figure to compare. The enumerations themselves are not timed. Examples:
+Prints one JSON object: the calls, how many found a flip, how many searches
+a replay makes (``oracle._maximize`` calls, counted in one more, untimed
+replay; a one-sided trial may be answered with none), and the time per call
+from the minimum and the median of ``--repeats`` replays. The minimum, the
+replay least disturbed by the rest of the machine, is the steadier figure to
+compare. The enumerations themselves are not timed. Examples:
 
     python scripts/replay_oracle_calls.py --interop 4,7,8 --mode cxp-first
     python scripts/replay_oracle_calls.py --synth 3
@@ -82,6 +84,24 @@ def replay(calls):
     return spent
 
 
+def count_searches(calls):
+    """The ``oracle._maximize`` calls of one untimed replay."""
+    maximize = oracle._maximize
+    searches = 0
+
+    def counting(*args, **kwargs):
+        nonlocal searches
+        searches += 1
+        return maximize(*args, **kwargs)
+
+    oracle._maximize = counting
+    try:
+        replay(calls)
+    finally:
+        oracle._maximize = maximize
+    return searches
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     source = parser.add_mutually_exclusive_group(required=True)
@@ -111,6 +131,7 @@ def main() -> int:
         "calls": len(calls),
         "flips": sum(answer is not None for *_, answer in calls),
         "one_sided": sum(away is not None for *_, away, _ in calls),
+        "searches": count_searches(calls),
         "us_per_call_min": round(1e6 * min(totals) / len(calls), 1),
         "us_per_call_median": round(1e6 * statistics.median(totals) / len(calls), 1),
         "replay_s_each": [round(t, 4) for t in totals],

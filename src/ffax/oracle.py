@@ -44,14 +44,14 @@ feature, the leaves some path test shuts out when the feature's domain is the
 instance's cell (``at``), and when it is every other cell (``away``, the
 one-sided slab below). Compilation drops every test that a full domain would
 decide, so a free feature shuts out nothing, and the root's mask ``keep`` is
-the complement of the OR of the fixed features' ``at`` masks (and the slab
-feature's ``away`` mask); each tree reads its block of it. A child box
-narrows only the split feature's domain, which only shrinks that feature's
-conjunct, so the child's mask is the parent's ANDed with
-``_admits(fid, dom)``: the leaves whose every path test on ``fid`` meets the
-child's domain ``dom`` on its side, memoized per ``(fid, dom)``. The mask
-also tells which reachable tests are ambiguous: those with reachable leaves
-on both sides. A tree's ``(lo, hi, first splits)`` range is therefore a
+the complement of the OR of the fixed features' ``at`` masks (a search of
+a one-sided slab also drops the slab feature's ``away`` mask); each tree
+reads its block of it. A child box narrows only the split feature's domain,
+which only shrinks that feature's conjunct, so the child's mask is the
+parent's ANDed with ``_admits(fid, dom)``: the leaves whose every path test
+on ``fid`` meets the child's domain ``dom`` on its side, memoized per
+``(fid, dom)``. The mask also tells which reachable tests are ambiguous:
+those with reachable leaves on both sides. A tree's ``(lo, hi, first splits)`` range is therefore a
 function of its mask; it is memoized per tree, and a miss is one walk
 restricted to the mask with the box walk's tie rules. The map sends each
 feature with a reachable ambiguous test to the first such test node in the
@@ -78,12 +78,21 @@ from a set ``C`` that forces the class, and asks whether fixing ``C - {f}``
 admits a flip. A point whose ``f`` lies in the instance's cell is a point of
 ``box(C)``, which has none, so the trial names ``f`` as ``away`` and the
 search runs only on the slab of ``box(C - {f})`` where ``f``'s domain is
-every cell but the instance's. The verdict is the trial's, and so is every
-call count; a feature with one cell gives an empty slab, hence "no flip"
-without a search. The witness is read against the unsliced box: the slab
-already moved ``f`` off the instance's cell, and read against the slab, an
-unsplit ``f`` would keep the instance's value, a point outside the slab that
-does not flip.
+every cell but the instance's. Before any search, the trial answers "no
+flip" at once when ``at[f] & keep`` is empty, ``keep`` being the root mask
+of ``C - {f}`` before the slab's ``away`` mask is ANDed in: no leaf that
+fixing ``f`` would shut out is still reachable. That is exact. Take a point
+``x`` of the slab: its leaf in each tree is reachable under
+``box(C - {f})``, and a path test on ``f`` taken on the side that the
+instance's cell does not meet would put that leaf in ``at[f] & keep``. So
+moving ``x``'s ``f`` back to the instance's cell keeps every leaf, and the
+point it makes lies in ``box(C)``, which does not flip. A feature with one
+cell has no compiled test, so its ``at`` mask is 0 and its (empty) slab is
+never searched. The verdict is the trial's, and so is every call count: a "no
+flip" has no witness. The witness of a search is read against the unsliced
+box: the slab already moved ``f`` off the instance's cell, and read against
+the slab, an unsplit ``f`` would keep the instance's value, a point outside
+the slab that does not flip.
 
 Class change is decided per the model's tie rule: for a single-score binary
 model with prediction 1 the query is min score < 0, with prediction 0 it is
@@ -438,19 +447,17 @@ class _TreeOracle:
             self._v_masks = (v, masks)
         return masks
 
-    def root(self, v: Instance, fixed, away: int | None = None) -> tuple[tuple, int]:
+    def root(self, v: Instance, fixed) -> tuple[tuple, int]:
         """The box of a query and its ``keep`` mask of reachable leaves.
 
         Each fixed feature's domain is v's cell, each free one's all cells,
-        as bitmasks. With ``away`` (a free feature) set, ``keep`` is the
-        slab's, where ``away`` takes every cell but v's; the box is not
-        sliced. A leaf is reachable exactly when no path test shuts it out,
-        and a full domain shuts out none: compilation drops every test that
-        a full domain would decide.
+        as bitmasks. A leaf is reachable exactly when no path test shuts it
+        out, and a full domain shuts out none: compilation drops every test
+        that a full domain would decide.
         """
-        cells, at, slab = self.instance_masks(v)
+        cells, at, _ = self.instance_masks(v)
         box = list(self._full)
-        shut = 0 if away is None else slab[away]
+        shut = 0
         for fid in fixed:
             box[fid] = cells[fid]
             shut |= at[fid]
@@ -464,16 +471,19 @@ class _TreeOracle:
         x keeps v's exact value on every feature whose cell lies in the
         domain of the witness box, the box whose floor flips that the search
         accepts, fixed or free (see the module docstring). With ``away`` set,
-        a free feature such that ``fixed | {away}`` forces c, only the slab
-        where ``away`` leaves v's cell is searched (see "one-sided trials").
+        a free feature such that ``fixed | {away}`` forces c, the answer is
+        None with no search when no test on ``away`` that v's cell fails is
+        reachable under ``fixed``; otherwise only the slab where ``away``
+        leaves v's cell is searched (see "one-sided trials").
         """
-        box, keep = self.root(v, fixed, away)
+        box, keep = self.root(v, fixed)
         search = box
         if away is not None:
-            slab = box[away] & ~self.instance_masks(v)[0][away]
-            if not slab:
+            cells, at, slab = self.instance_masks(v)
+            if not at[away] & keep:  # fixing away shuts out no reachable leaf
                 return None
-            search = box[:away] + (slab,) + box[away + 1:]
+            keep &= ~slab[away]
+            search = box[:away] + (box[away] & ~cells[away],) + box[away + 1:]
         # (pos, neg, strict): a flip needs max(pos - neg) >= 0, or > 0 if strict
         if not self.model.single_score:  # ties go to the lower class id
             queries = [(rival, c, rival > c) for rival in range(self.model.k) if rival != c]
@@ -616,8 +626,9 @@ def _find_counterexample_unchecked(
 
     ``away``, a free feature, may be given only when ``fixed | {away}`` forces
     ``c``: every flip then moves ``away`` out of v's cell, and a tree ensemble
-    searches only there (see "one-sided trials" in the module docstring). A
-    linear model ignores it.
+    searches only there, or not at all when no test on ``away`` that v's cell
+    fails is still reachable under ``fixed`` (see "one-sided trials" in the
+    module docstring). A linear model ignores it.
     """
     if isinstance(model, LinearModel):
         return _linear_counterexample(model, v, c, fixed)

@@ -1092,12 +1092,13 @@ def test_root_masks_match_the_tree_walk(rng, monkeypatch):
                     one_cell += 1
             fixed = frozenset(fid for fid in range(m) if rng.random() < 0.5)
             for away in [None, *sorted(set(range(m)) - fixed)]:
-                box, keep = compiled.root(v, fixed, away)
+                box, keep = compiled.root(v, fixed)
                 assert box == tuple(
                     cells[fid] if fid in fixed else (1 << size) - 1
                     for fid, size in enumerate(sizes)
                 )
                 if away is not None:
+                    keep &= ~away_masks[away]
                     slab = box[away] & ~cells[away]
                     if not slab:
                         continue
@@ -1310,6 +1311,43 @@ def test_one_sided_trial_agrees_with_the_full_box(trial):
         assert cells.cell_of(away, slab.values[away]) != cells.cell_of(away, v.values[away])
 
 
+@given(one_sided_trials())
+def test_one_sided_trial_with_no_reachable_test_on_its_feature_searches_nothing(trial):
+    # A trial that drops f from a forcing set is answered "no flip" without a
+    # search exactly when fixing f narrows no tree's reachable leaves under
+    # the rest of the set (the walk decides that here): then every point of
+    # the trial's box scores like a point of the forcing box. Every other
+    # trial searches, and agrees with the full box.
+    model, v, c, sufficient = trial
+    cells = oracle._tree_oracle(model).cells
+    searches = []
+    maximize = oracle._maximize
+
+    def counting(*args, **kwargs):
+        searches.append(None)
+        return maximize(*args, **kwargs)
+
+    for away in sufficient:
+        fixed = sufficient - {away}
+        loose, tight = (
+            _as_masks(_reference_box_for(cells, v, s)) for s in (fixed, sufficient)
+        )
+        unnarrowed = all(
+            _reach(root, loose) == _reach(root, tight) for _, root in cells.trees
+        )
+        searches.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_maximize", counting)
+            slab = oracle._find_counterexample_unchecked(model, v, c, fixed, away)
+        if unnarrowed:
+            assert slab is None and searches == []
+            assert brute_force_decide(model, v, c, fixed).sufficient
+        else:
+            assert searches
+            full = find_counterexample(model, v, c, model.space.all_features() - fixed)
+            assert (slab is None) == (full is None)
+
+
 def test_one_sided_trial_on_a_feature_with_one_cell_searches_nothing(monkeypatch):
     # No tree tests x, so x has one cell and the slab that moves it off v's
     # cell is empty: "no flip" without a search, but still one oracle call.
@@ -1344,7 +1382,9 @@ def test_one_sided_trials_pop_fewer_boxes_on_interop(monkeypatch, interop):
     # searched twice on a fresh oracle: on the slab, and on the whole box of
     # the trial. The verdicts agree and the slab pops fewer boxes. The counts
     # were (6329, 8048) before the flip search popped by bound plus floor and
-    # accepted a child whose floor flips as soon as it was made.
+    # accepted a child whose floor flips as soon as it was made, and
+    # (5607, 7313) before a trial with no reachable test on its dropped
+    # feature was answered without a search.
     model, v = interop[0], interop[1][7]
     trials = []
     unchecked = enumeration._find_counterexample_unchecked
@@ -1357,17 +1397,28 @@ def test_one_sided_trials_pop_fewer_boxes_on_interop(monkeypatch, interop):
     monkeypatch.setattr(enumeration, "_find_counterexample_unchecked", recording)
     enumerate_explanations(model, v, budget=Budget.unlimited())
     monkeypatch.undo()
-    pops, verdicts = {}, {}
+    pops, verdicts, unsearched = {}, {}, {}
+    maximize = oracle._maximize
     for one_sided in (True, False):
-        popped = []
+        popped, searches = [], []
+
+        def counting(*args, **kwargs):
+            searches.append(None)
+            return maximize(*args, **kwargs)
+
         monkeypatch.setattr(oracle, "heapq", _recording_heapq(popped))
+        monkeypatch.setattr(oracle, "_maximize", counting)
         compiled = oracle._TreeOracle(model)
-        verdicts[one_sided] = [
-            compiled.find_class_change(v, c, fixed, away if one_sided else None) is None
-            for c, fixed, away in trials
-        ]
+        verdicts[one_sided], unsearched[one_sided] = [], 0
+        for c, fixed, away in trials:
+            before = len(searches)
+            verdicts[one_sided].append(
+                compiled.find_class_change(v, c, fixed, away if one_sided else None) is None
+            )
+            unsearched[one_sided] += len(searches) == before
         pops[one_sided] = len(popped)
         monkeypatch.undo()
     assert len(trials) == 2294
     assert verdicts[True] == verdicts[False]
-    assert (pops[True], pops[False]) == (5607, 7313)
+    assert (pops[True], pops[False]) == (4385, 7313)
+    assert (unsearched[True], unsearched[False]) == (1135, 0)
