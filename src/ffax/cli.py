@@ -114,15 +114,18 @@ def _format_assignment(space, v: Instance, features) -> str:
 
 
 def _certified_bound(model, v: Instance, c: int, subset: frozenset[int]) -> str:
-    """Human-readable proof obligation the explanation satisfies."""
+    """Human-readable proof obligation the explanation satisfies.
+
+    Only the printed side of the bound is searched: one search for a
+    single-score model, one per rival class for a multiclass one.
+    """
     pa = PartialAssignment(instance=v, fixed=subset)
     if model.single_score:
-        bounds = score_bounds(model, pa)
         if c == 0:
-            return f"max attainable score {bounds.hi:.6g} < 0"
-        return f"min attainable score {bounds.lo:.6g} >= 0"
+            return f"max attainable score {score_bounds(model, pa, _side='hi').hi:.6g} < 0"
+        return f"min attainable score {score_bounds(model, pa, _side='lo').lo:.6g} >= 0"
     worst = max(
-        score_bounds(model, pa, pair=(rival, c)).hi
+        score_bounds(model, pa, pair=(rival, c), _side="hi").hi
         for rival in range(model.k)
         if rival != c
     )

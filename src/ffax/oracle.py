@@ -514,14 +514,16 @@ class _TreeOracle:
                 values[fid] = reps[fid][(dom & -dom).bit_length() - 1]
         return Instance(values=tuple(values))
 
-    def score_bounds(self, v: Instance, fixed, pair: tuple[int, int] | None) -> ScoreBounds:
-        if pair is None and not self.model.single_score:
-            raise ContractError("multiclass ensembles need an explicit (rival, predicted) pair")
-        plus, minus = pair or (1, None)
+    def max_margin(self, v: Instance, fixed, plus: int | None, minus: int | None) -> float:
+        """Attained max of ``score_plus - score_minus`` over the completions of v on ``fixed``.
+
+        A class of None contributes no score. One search with no threshold;
+        ``score_bounds`` takes its lower bound as ``-max_margin`` with the
+        classes swapped.
+        """
         box, keep = self.root(v, fixed)
         hi, _ = _maximize(self.objective(plus, minus), box, keep)
-        neg_hi, _ = _maximize(self.objective(minus, plus), box, keep)
-        return ScoreBounds(lo=-neg_hi, hi=hi)
+        return hi
 
 
 _last_oracle: _TreeOracle | None = None  # the last model's, so one compiled model at most
@@ -605,6 +607,26 @@ def _check_features(model: Model, fids: Iterable[int]) -> frozenset[int]:
     return fids
 
 
+def _check_pair(model: TreeEnsemble, pair) -> tuple[int, int | None]:
+    """``score_bounds``'s ``(plus, minus)`` classes, after checking ``pair``.
+
+    ``pair`` must be two distinct class ids of ``model`` (ints, not bools),
+    or None for a single-score model, whose score is class 1's alone.
+    """
+    if pair is None:
+        if not model.single_score:
+            raise ContractError("multiclass ensembles need an explicit (rival, predicted) pair")
+        return 1, None
+    if not (
+        isinstance(pair, tuple)
+        and len(pair) == 2
+        and all(isinstance(c, int) and not isinstance(c, bool) and 0 <= c < model.k for c in pair)
+        and pair[0] != pair[1]
+    ):
+        raise ContractError(f"pair must be two distinct class ids in 0..{model.k - 1}, not {pair!r}")
+    return pair
+
+
 def find_counterexample(
     model: Model, v: Instance, c: int, free: Iterable[int]
 ) -> Instance | None:
@@ -645,18 +667,32 @@ def decide_sufficiency(
 
 
 def score_bounds(
-    model: TreeEnsemble, pa: PartialAssignment, pair: tuple[int, int] | None = None
+    model: TreeEnsemble,
+    pa: PartialAssignment,
+    pair: tuple[int, int] | None = None,
+    *,
+    _side: str | None = None,
 ) -> ScoreBounds:
     """Attained extrema of the score (or of s_plus - s_minus for ``pair``).
 
-    The instance must be domain-valid, free features included: the oracle
-    maps every feature of it to its cell.
+    The score is a single-score model's class-1 score; a multiclass model
+    needs ``pair``, two distinct class ids ``(plus, minus)`` (``ContractError``
+    otherwise). The instance must be domain-valid, free features included:
+    the oracle maps every feature of it to its cell. Each bound is one
+    ``_TreeOracle.max_margin`` search.
+
+    ``_side``, private, asks for one bound only: ``"hi"`` or ``"lo"``. The
+    other is not searched and comes back as ``-inf`` or ``+inf``.
     """
     oracle = _tree_oracle(model)
     violations = validate_instance(model.space, pa.instance)
     if violations:
         raise ValidationError(violations[0])
-    return oracle.score_bounds(pa.instance, _check_features(model, pa.fixed), pair)
+    fixed = _check_features(model, pa.fixed)
+    plus, minus = _check_pair(model, pair)
+    hi = oracle.max_margin(pa.instance, fixed, plus, minus) if _side != "lo" else math.inf
+    lo = -oracle.max_margin(pa.instance, fixed, minus, plus) if _side != "hi" else -math.inf
+    return ScoreBounds(lo=lo, hi=hi)
 
 
 def brute_force_decide(

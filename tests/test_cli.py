@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +11,12 @@ import pytest
 
 from conftest import FIXTURES
 import ffax
-from ffax import formats
+from ffax import cli, formats, oracle
 from ffax.cli import main
+from ffax.enumeration import extract_axp
+from ffax.model import evaluate
+from ffax.oracle import PartialAssignment, score_bounds
+from ffax.synth import random_ensemble, random_instance, random_space
 
 ADULT = FIXTURES / "adult"
 INTEROP = FIXTURES / "interop"
@@ -381,6 +387,101 @@ def test_explain_parses_each_input_once(monkeypatch, capsys):
     assert main(interop_args("explain", "--rows", "0-9")) == 0
     assert capsys.readouterr().out.count("  AXp: ") == 10
     assert calls == {"parse_feature_space": 1, "parse_ensemble_dump": 1, "parse_instances": 1}
+
+
+def _certificates(text: str):
+    """``(row, AXp feature names, "max" or "min", printed figure)`` per explained row."""
+    found = []
+    for block in text.split("\nrow "):
+        row = int(block.removeprefix("row ").split(":", 1)[0])
+        axp_line = block.split("  AXp: ", 1)[1].split("\n", 1)[0]
+        names = [] if axp_line.startswith("(empty set)") else [
+            item.rsplit("=", 1)[0] for item in axp_line.strip("{}").split(", ")
+        ]
+        side, _, _, figure = block.split("  certified: ", 1)[1].split()[:4]
+        found.append((row, names, side, figure))
+    return found
+
+
+def test_explain_prints_the_named_side_of_the_two_sided_bounds(
+    interop, adult_model, adult_two_rows, capsys
+):
+    adult_csv = Path(adult_two_rows[adult_two_rows.index("--instances") + 1])
+    adult_points = formats.parse_instances(adult_csv.read_text(), adult_model.space)
+    cases = (
+        (interop_args("explain"), *interop, {"max": 45, "min": 55}),
+        (["explain", *adult_two_rows], adult_model, adult_points, {"max": 1, "min": 1}),
+    )
+    for argv, model, points, sides in cases:
+        assert main(argv) == 0
+        certificates = _certificates(capsys.readouterr().out)
+        assert [row for row, *_ in certificates] == list(range(len(points)))
+        seen = {"max": 0, "min": 0}
+        for row, names, side, figure in certificates:
+            axp = frozenset(model.space.name_to_fid[name] for name in names)
+            bounds = score_bounds(model, PartialAssignment(points[row], axp))
+            assert figure == f"{bounds.hi if side == 'max' else bounds.lo:.6g}", row
+            seen[side] += 1
+        assert seen == sides
+
+
+def _three_class_rows():
+    rng = random.Random(11)
+    space = random_space(rng, 6)
+    model = random_ensemble(rng, space, n_trees=9, depth=3, k=3)
+    return model, [random_instance(rng, space) for _ in range(12)]
+
+
+def test_multiclass_certificate_is_the_largest_rival_margin():
+    model, points = _three_class_rows()
+    classes = set()
+    for v in points:
+        c = evaluate(model, v).class_id
+        axp = extract_axp(model, v, c, seed=range(model.space.m))
+        worst = max(
+            score_bounds(model, PartialAssignment(v, axp), pair=(rival, c)).hi
+            for rival in range(model.k)
+            if rival != c
+        )
+        assert cli._certified_bound(model, v, c, axp) == (
+            f"max rival margin {worst:.6g} cannot overtake class {c}"
+        )
+        classes.add(c)
+    assert len(classes) > 1
+
+
+@pytest.fixture
+def bound_counts(monkeypatch):
+    """Counts of calls to the CLI's ``score_bounds`` and of searches with no threshold."""
+    counts = {"calls": 0, "searches": 0}
+    bounds, maximize = cli.score_bounds, oracle._maximize
+
+    def counted_bounds(*args, **kwargs):
+        counts["calls"] += 1
+        return bounds(*args, **kwargs)
+
+    def counted_maximize(obj, box, keep, fail_below=None, strict=False):
+        counts["searches"] += fail_below is None
+        return maximize(obj, box, keep, fail_below, strict)
+
+    monkeypatch.setattr(cli, "score_bounds", counted_bounds)
+    monkeypatch.setattr(oracle, "_maximize", counted_maximize)
+    return counts
+
+
+def test_explain_searches_only_the_printed_bound(bound_counts, capsys):
+    # through the name the benchmark hooks, one search per single-score row
+    assert main(interop_args("explain", "--rows", "0-9")) == 0
+    assert capsys.readouterr().out.count("  certified: ") == 10
+    assert bound_counts == {"calls": 10, "searches": 10}
+
+
+def test_multiclass_explain_searches_once_per_rival(bound_counts):
+    model, points = _three_class_rows()
+    args = argparse.Namespace(order=None)
+    for row, v in enumerate(points):
+        assert "max rival margin" in cli._explain_row(args, model, row, v)
+    assert bound_counts == {"calls": 2 * len(points), "searches": 2 * len(points)}
 
 
 def test_workers_output_matches_one_worker(adult_two_rows, monkeypatch, capsys):

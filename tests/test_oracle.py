@@ -304,6 +304,25 @@ def test_bounds_multiclass_pairwise(rng):
         assert bounds.lo == min(diffs)
 
 
+@pytest.mark.parametrize("pair", [(5, 0), (-1, 0), (0, None), (True, 0), (1, 1)])
+def test_bounds_refuse_a_bad_pair(interop, pair):
+    model, points = interop
+    with pytest.raises(ContractError, match="two distinct class ids in 0..1"):
+        score_bounds(model, PartialAssignment(points[0], frozenset()), pair=pair)
+
+
+def test_one_sided_bounds_are_the_sides_of_the_two_sided(rng):
+    space = random_space(rng, 5)
+    model = random_ensemble(rng, space, n_trees=8, depth=3, k=3)
+    v = random_instance(rng, space)
+    for fixed in (frozenset(), frozenset({0, 2})):
+        pa = PartialAssignment(v, fixed)
+        for pair in ((1, 0), (0, 2)):
+            both = score_bounds(model, pa, pair=pair)
+            assert score_bounds(model, pa, pair=pair, _side="hi") == ScoreBounds(-math.inf, both.hi)
+            assert score_bounds(model, pa, pair=pair, _side="lo") == ScoreBounds(both.lo, math.inf)
+
+
 # --- brute force and agreement fuzz ---------------------------------------------
 
 
