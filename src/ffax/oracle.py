@@ -37,30 +37,30 @@ each compiled tree's leaves in preorder, yes subtree first, and gives each
 test the leaf bits of its two subtrees. A leaf is reachable exactly when
 every test on its path meets the box on its side (a yes side needs
 ``dom & mask``, a no side ``dom & ~mask``), a conjunction with one conjunct
-per feature. At the root box no tree is walked. ``_TreeOracle`` lays the
-leaves of all the model's trees out in one bit space, a block per tree, and
-when it first sees an instance it makes one pass over the compiled tests: per
-feature, the leaves some path test shuts out when the feature's domain is the
-instance's cell (``at``), and when it is every other cell (``away``, the
-one-sided slab below). Compilation drops every test that a full domain would
-decide, so a free feature shuts out nothing, and the root's mask ``keep`` is
-the complement of the OR of the fixed features' ``at`` masks (a search of
-a one-sided slab also drops the slab feature's ``away`` mask); each tree
-reads its block of it. A child box narrows only the split feature's domain,
-which only shrinks that feature's conjunct, so the child's mask is the
-parent's ANDed with ``_admits(fid, dom)``: the leaves whose every path test
-on ``fid`` meets the child's domain ``dom`` on its side, memoized per
-``(fid, dom)``. The mask also tells which reachable tests are ambiguous:
-those with reachable leaves on both sides. A tree's ``(lo, hi, first splits)`` range is therefore a
-function of its mask; it is memoized per tree, and a miss is one walk
-restricted to the mask with the box walk's tie rules. The map sends each
-feature with a reachable ambiguous test to the first such test node in the
-tree's preorder, and the first tree in tree order that maps the split feature
-names the split. Each heap entry carries its box's ranges with their masks,
-and a child looks a range up only where its mask shrank. Bounds and gaps are
-still summed over all trees in tree-index order, so they are bit-identical to
-a full re-walk of every tree, and so are the pops and the result. The memos
-live on the model's ``_TreeOracle`` and go with it.
+per feature. So the leaves that feature ``fid``'s domain ``dom`` shuts out
+depend on ``(fid, dom)`` alone: ``_shut_out`` reads them, per tree, from one
+per-model table of the compiled tests by feature, memoized per model. The
+instance masks and every child box of every objective read that one table.
+At the root box no tree is walked: the leaves of all the model's trees share
+one bit space, a block per tree, and per instance the oracle records each
+feature's shut-out leaves at the instance's cell (``at``) and on every other
+cell (``away``, the one-sided slab below). Compilation drops every test that
+a full domain would decide, so a free feature shuts out nothing, and the
+root's mask ``keep`` is the complement of the OR of the fixed features'
+``at`` masks (a one-sided slab also drops its feature's ``away`` mask). A
+child box narrows only the split feature's domain, so a tree's child mask is
+its parent's less what the new domain shuts out. The mask also tells which
+reachable tests are ambiguous: those with reachable leaves on both sides. A
+tree's ``(lo, hi, first splits)`` range is therefore a function of its mask;
+it is memoized per tree, and a miss is one walk restricted to the mask with
+the box walk's tie rules. The map sends each feature with a reachable
+ambiguous test to the first such test node in the tree's preorder, and the
+first tree in tree order that maps the split feature names the split. Each
+heap entry carries its box's ranges with their masks, and a child looks a
+range up only where its mask shrank. Bounds and gaps are still summed over
+all trees in tree-index order, so they are bit-identical to a full re-walk
+of every tree, and so are the pops and the result. The memos live on the
+model's ``_TreeOracle`` and go with it.
 
 A witness is materialized from the box that the threshold search accepts:
 every feature whose instance cell lies in the box's domain keeps the
@@ -161,17 +161,20 @@ class _Objective:
     ``trees`` lists the compiled roots in objective order, the ``n_pos``
     pos-class trees first, ``blocks`` each tree's ``(offset, all leaves)`` in
     the model's leaf space, ``memos`` each tree's range memo (reachable-leaf
-    mask -> range, shared by every objective of the model), ``tests`` maps a
-    feature to ``(t, its tests)`` for each tree ``t`` that tests it, in
-    objective order, each test as ``(mask, yes leaves, no leaves)``, and
-    ``admits`` memoizes ``_admits``.
+    mask -> range), and ``slots`` maps a model tree to its position in
+    objective order, or None if the objective leaves it out. ``tests`` and
+    ``shut`` are the model's test table and its ``_shut_out`` memo. Each of
+    these is shared by every objective of the model, and none refers back to
+    the model's ``_TreeOracle``.
     """
 
     __slots__ = (
-        "neg", "n_pos", "trees", "pos_base", "neg_base", "blocks", "memos", "tests", "admits"
+        "neg", "n_pos", "trees", "pos_base", "neg_base", "blocks", "memos", "slots", "tests",
+        "shut",
     )
 
-    def __init__(self, cells: CellSystem, pos: int | None, neg: int | None, blocks, memos):
+    def __init__(self, cells: CellSystem, pos: int | None, neg: int | None, blocks, memos,
+                 tests, shut):
         model = cells.model
         self.neg = neg
         pos_order = [t for t, (cid, _) in enumerate(cells.trees) if cid == pos]
@@ -182,24 +185,40 @@ class _Objective:
         self.neg_base = model.base_score[neg] if neg is not None else 0.0
         self.blocks = tuple(blocks[t] for t in order)
         self.memos = tuple(memos[t] for t in order)
-        self.tests: dict[int, tuple] | None = None  # built by the first _admits
-        self.admits: dict[tuple[int, int], tuple] = {}
+        position = {t: i for i, t in enumerate(order)}
+        self.slots = tuple(position.get(t) for t in range(len(cells.trees)))
+        self.tests = tests
+        self.shut = shut
 
 
-def _tests_by_feature(trees) -> dict[int, tuple]:
-    """Feature -> ``(t, its tests)`` per tree ``t`` that tests it, in order."""
-    by_feature: dict[int, dict] = {}
-    for t, root in enumerate(trees):
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node[0] == "test":
-                _, fid, mask, yes, no, yes_leaves, no_leaves = node
-                by_feature.setdefault(fid, {}).setdefault(t, []).append(
-                    (mask, yes_leaves, no_leaves)
-                )
-                stack += (yes, no)
-    return {fid: tuple(per_tree.items()) for fid, per_tree in by_feature.items()}
+def _shut_out(tests, memo, fid: int, dom: int) -> tuple:
+    """``(t, leaves)`` for each model tree ``t`` where ``dom`` shuts out some leaf.
+
+    ``tests`` is a model's test table (``_TreeOracle``) and ``memo`` its dict
+    keyed on ``(fid, dom)``. ``leaves`` are the tree's leaves, in its own
+    numbering, that some path test on ``fid`` shuts out when ``fid``'s domain
+    is ``dom``: a test shuts out its yes side when ``dom`` misses its mask,
+    and its no side when ``dom`` lies inside it. A leaf is reachable under a
+    box exactly when no test on its path shuts it out, so narrowing ``fid``'s
+    domain to ``dom`` keeps a reachable leaf exactly when it is not in
+    ``leaves``.
+    """
+    key = (fid, dom)
+    found = memo.get(key)
+    if found is None:
+        found = []
+        for t, tree_tests in tests.get(fid, ()):
+            shut = 0
+            for mask, yes_leaves, no_leaves in tree_tests:
+                inside = dom & mask
+                if not inside:
+                    shut |= yes_leaves
+                elif inside == dom:
+                    shut |= no_leaves
+            if shut:
+                found.append((t, shut))
+        found = memo[key] = tuple(found)
+    return found
 
 
 _NO_SPLITS: dict = {}  # a leaf's first splits; shared, never mutated
@@ -237,32 +256,6 @@ def _range(obj: _Objective, t: int, reach: int):
     if found is None:
         found = memo[reach] = (*_leaf_range(obj.trees[t], reach), reach)
     return found
-
-
-def _admits(obj: _Objective, fid: int, dom: int) -> tuple:
-    """``(t, leaves)`` for each tree ``t`` where ``dom`` shuts out some leaf.
-
-    ``leaves`` are the tree's leaves whose every path test on ``fid`` meets
-    ``dom`` on its side: a yes side needs ``dom & mask``, a no side
-    ``dom & ~mask``. A leaf is reachable under a box exactly when each test
-    on its path meets the box on its side, so narrowing ``fid``'s domain to
-    ``dom`` keeps a reachable leaf exactly when it is in ``leaves``. The mask
-    is a negative int: it also sets every bit past the tree's last leaf.
-    """
-    if obj.tests is None:
-        obj.tests = _tests_by_feature(obj.trees)
-    admits = []
-    for t, tests in obj.tests.get(fid, ()):
-        leaves = -1  # every leaf
-        for mask, yes_leaves, no_leaves in tests:
-            inside = dom & mask
-            if not inside:
-                leaves &= ~yes_leaves
-            elif inside == dom:
-                leaves &= ~no_leaves
-        if leaves != -1:
-            admits.append((t, leaves))
-    return tuple(admits)
 
 
 def _bounds(obj: _Objective, ranges) -> tuple[float, float]:
@@ -314,8 +307,9 @@ def _maximize(
     heap gives (None, None).
 
     A heap entry carries its box's per-tree ranges, each with its mask of
-    reachable leaves; a child ANDs a tree's mask with the leaves its split
-    domain admits, and looks the range up by the new mask only if it shrank.
+    reachable leaves; a child clears from a tree's mask the leaves that its
+    split domain shuts out (``_shut_out``), and looks the range up by the new
+    mask only if it shrank.
     """
     target = fail_below
     if strict and target is not None:  # x > t exactly when x >= the next float above t
@@ -331,7 +325,7 @@ def _maximize(
         order -= floor  # a threshold search pops by bound plus floor
     heap = [(order, 0, box, ranges)]
     seq = 1
-    admits_memo = obj.admits
+    tests, shut_memo, slots = obj.tests, obj.shut, obj.slots
     while heap:
         order, _, cur, ranges = heapq.heappop(heap)
         gaps: dict[int, float] = {}
@@ -351,16 +345,13 @@ def _maximize(
                 node = first[fid]
                 break
         for child in _split_box(cur, node):
-            key = (fid, child[fid])
-            admits = admits_memo.get(key)
-            if admits is None:
-                admits = admits_memo[key] = _admits(obj, fid, child[fid])
             cranges = ranges.copy()
-            for t, leaves in admits:
-                reach = cranges[t][3]
-                narrowed = reach & leaves
-                if narrowed != reach:
-                    cranges[t] = _range(obj, t, narrowed)
+            for t, shut in _shut_out(tests, shut_memo, fid, child[fid]):
+                i = slots[t]
+                if i is not None:
+                    reach = cranges[i][3]
+                    if reach & shut:
+                        cranges[i] = _range(obj, i, reach & ~shut)
             cbound, cfloor = _bounds(obj, cranges)
             corder = -cbound
             if target is not None:
@@ -379,9 +370,13 @@ def _maximize(
 class _TreeOracle:
     """Per-model reusable state: cell system plus compiled objectives.
 
-    The leaves of all the model's compiled trees share one bit space, each
-    tree a block at an offset, in the order of ``cells.trees``; ``_shut``
-    maps each feature to its tests there, ``(mask, yes leaves, no leaves)``.
+    ``_tests`` is the model's test table: it maps each feature to ``(t, its
+    tests)`` for each tree ``t`` that tests it, in the order of
+    ``cells.trees``, each test as ``(mask, yes leaves, no leaves)`` in the
+    tree's own leaf numbers. Through ``_shut_out``, memoized in ``_shut`` on
+    ``(fid, dom)``, it serves both the instance masks and the child boxes of
+    every objective. For the instance masks, the leaves of all the trees share
+    one bit space, each tree a block at an offset, in the same order.
     """
 
     def __init__(self, model: TreeEnsemble):
@@ -391,9 +386,9 @@ class _TreeOracle:
         self._range_memos = tuple({} for _ in self.cells.trees)
         self._full = tuple((1 << size) - 1 for size in self.cells.sizes)
         blocks = []
-        self._shut: dict[int, list] = {}
+        by_feature: dict[int, dict] = {}
         offset = 0
-        for _, root in self.cells.trees:
+        for t, (_, root) in enumerate(self.cells.trees):
             leaves = root[2] if root[0] == "leaf" else root[5] | root[6]
             blocks.append((offset, leaves))
             stack = [root]
@@ -401,19 +396,21 @@ class _TreeOracle:
                 node = stack.pop()
                 if node[0] == "test":
                     _, fid, mask, yes, no, yes_leaves, no_leaves = node
-                    self._shut.setdefault(fid, []).append(
-                        (mask, yes_leaves << offset, no_leaves << offset)
+                    by_feature.setdefault(fid, {}).setdefault(t, []).append(
+                        (mask, yes_leaves, no_leaves)
                     )
                     stack += (yes, no)
             offset += leaves.bit_length()
         self._blocks = tuple(blocks)
+        self._tests = {fid: tuple(per_tree.items()) for fid, per_tree in by_feature.items()}
+        self._shut: dict[tuple[int, int], tuple] = {}
         self._v_masks: tuple[Instance | None, tuple] = (None, ())
 
     def objective(self, pos: int | None, neg: int | None) -> _Objective:
         key = (pos, neg)
         if key not in self._objectives:
             self._objectives[key] = _Objective(
-                self.cells, pos, neg, self._blocks, self._range_memos
+                self.cells, pos, neg, self._blocks, self._range_memos, self._tests, self._shut
             )
         return self._objectives[key]
 
@@ -423,26 +420,19 @@ class _TreeOracle:
         ``cells[fid]`` is ``1 << cell`` of v's cell. ``at[fid]`` holds the
         leaves, in the model's leaf space, that some path test on ``fid``
         shuts out when ``fid``'s domain is v's cell, and ``away[fid]`` those
-        shut out when it is every other cell (the one-sided slab).
+        shut out when it is every other cell (the one-sided slab): each is
+        ``_shut_out``'s tree masks, shifted to their blocks.
         """
         last, masks = self._v_masks
         if last is not v:
             cells = tuple(1 << cell for cell in self.cells.instance_cells(v))
             at = [0] * len(cells)
             away = [0] * len(cells)
-            for fid, tests in self._shut.items():
+            for fid in self._tests:
                 cell = cells[fid]
-                slab = self._full[fid] ^ cell
-                shut_at = shut_away = 0
-                for mask, yes, no in tests:
-                    shut_at |= no if cell & mask else yes
-                    inside = slab & mask
-                    if not inside:
-                        shut_away |= yes
-                    elif inside == slab:
-                        shut_away |= no
-                at[fid] = shut_at
-                away[fid] = shut_away
+                for side, dom in ((at, cell), (away, self._full[fid] ^ cell)):
+                    for t, leaves in _shut_out(self._tests, self._shut, fid, dom):
+                        side[fid] |= leaves << self._blocks[t][0]
             masks = (cells, at, away)
             self._v_masks = (v, masks)
         return masks

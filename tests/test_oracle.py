@@ -1,6 +1,8 @@
+import gc
 import heapq
 import math
 import random
+import weakref
 from itertools import product
 from bisect import bisect_left
 from types import SimpleNamespace
@@ -1053,8 +1055,9 @@ def _reach(node, box):
     """The mask of the leaves reachable under box, by walking the tree.
 
     The reference for the reachable-leaf masks that the oracle builds
-    without a walk: at the root from the instance's shut-out masks, below it
-    by ``_admits``.
+    without a walk, from the model's test table through ``_shut_out``: at the
+    root by the instance's shut-out masks, below it by the leaves a child's
+    split domain shuts out.
     """
     while node[0] == "test":
         _, fid, mask, yes, no = node[:5]
@@ -1201,21 +1204,32 @@ def _same_range(got, expected):
 def test_leaf_masks_give_the_box_walk_ranges(rng):
     # Root boxes are random sub-domains; each child narrows one feature's
     # domain to a random non-empty part of it, three times in a row. A
-    # child's mask must be the parent's ANDed with what its domain admits,
-    # and the range read from a mask must equal the box walk's bit for bit.
+    # child's mask must be the parent's with the leaves its domain shuts out
+    # cleared, read from the model's shared table through the objective's
+    # slots, and the range read from a mask must equal the box walk's bit for
+    # bit. Half the models have 3 classes, searched by a (rival, c)
+    # objective that puts the rival's trees first, so slots reorder them.
     space = FeatureSpace((
         FeatureSpec(0, "x", "ordinal", lo=0.0, hi=10.0),
         FeatureSpec(1, "y", "ordinal", lo=0.0, hi=10.0),
         FeatureSpec(2, "colour", "categorical", values=("a", "b", "c", "d")),
         FeatureSpec(3, "flag", "boolean"),
     ))
-    checked = twice = zero_ties = split = shrunk = 0
-    for _ in range(150):
-        model = TreeEnsemble(space, ("n", "y"), tuple(
-            Tree(1, _tie_node(rng, space, rng.randint(1, 5))) for _ in range(3)
+    checked = twice = zero_ties = split = shrunk = reordered = 0
+    for n in range(300):
+        if n % 2:
+            classes, pair = ("a", "b", "c"), tuple(rng.sample(range(3), 2))
+            class_ids = [rng.randrange(3) for _ in range(6)]
+        else:
+            classes, pair, class_ids = ("n", "y"), (1, None), [1, 1, 1]
+        model = TreeEnsemble(space, classes, tuple(
+            Tree(cid, _tie_node(rng, space, rng.randint(1, 5))) for cid in class_ids
         ))
         compiled = oracle._TreeOracle(model)
-        obj = compiled.objective(1, None)
+        obj = compiled.objective(*pair)
+        order = [t for _, t in sorted((i, t) for t, i in enumerate(obj.slots) if i is not None)]
+        assert obj.trees == tuple(compiled.cells.trees[t][1] for t in order)
+        reordered += order != sorted(order)
         sizes = compiled.cells.sizes
         for _ in range(4):
             box = tuple(rng.randrange(1, 1 << size) for size in sizes)
@@ -1226,8 +1240,10 @@ def test_leaf_masks_give_the_box_walk_ranges(rng):
                     dom = box[fid] & rng.randrange(1, 1 << sizes[fid]) or box[fid]
                     split += dom != box[fid]
                     box = box[:fid] + (dom,) + box[fid + 1:]
-                    admits = dict(oracle._admits(obj, fid, dom))
-                    narrowed = [r & admits.get(t, r) for t, r in enumerate(reach)]
+                    narrowed = reach.copy()
+                    for t, shut in oracle._shut_out(compiled._tests, compiled._shut, fid, dom):
+                        if obj.slots[t] is not None:
+                            narrowed[obj.slots[t]] &= ~shut
                     shrunk += narrowed != reach
                     reach = narrowed
                 for t, root in enumerate(obj.trees):
@@ -1239,8 +1255,35 @@ def test_leaf_masks_give_the_box_walk_ranges(rng):
                     zero_ties += len(values) == 2 and 0.0 in expected[:2]
                     twice += _tests_twice_on_a_path(root)
                     checked += 1
-    assert checked > 5000 and twice > 2000 and zero_ties > 500, (checked, twice, zero_ties)
-    assert split > 500 and shrunk > 300, (split, shrunk)
+    assert checked > 12000 and twice > 6000 and zero_ties > 1500, (checked, twice, zero_ties)
+    assert split > 1000 and shrunk > 600 and reordered > 60, (split, shrunk, reordered)
+
+
+# --- the compiled oracle's lifetime ---------------------------------------------
+
+
+def test_a_replaced_oracle_is_freed_by_reference_counting():
+    # The module keeps one compiled oracle, the last model's. Its objectives
+    # and memos must hold no reference back to it: with one, each replaced
+    # oracle and all its memos would wait for the cyclic collector, and peak
+    # memory would grow with the number of models compiled between its runs.
+    rng = random.Random(5)
+    space = random_space(rng, 6)
+    a, b = (random_ensemble(rng, space, n_trees=6, depth=3, k=3) for _ in range(2))
+    gc.disable()
+    try:
+        compiled = weakref.ref(oracle._tree_oracle(a))
+        for _ in range(20):
+            v = random_instance(rng, space)
+            c = evaluate(a, v).class_id
+            for fixed in ({0}, {0, 1, 2}, set()):
+                decide_sufficiency(a, v, c, fixed)
+        assert len(compiled()._objectives) >= 2 and compiled()._shut
+        assert any(len(memo) > 1 for memo in compiled()._range_memos)
+        oracle._tree_oracle(b)
+        assert compiled() is None
+    finally:
+        gc.enable()
 
 
 # --- the threshold search accepts and prunes by bounds ---------------------------
