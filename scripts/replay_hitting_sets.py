@@ -30,21 +30,11 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
-from ffax import enumeration, formats  # noqa: E402
+from ffax import enumeration  # noqa: E402
 from ffax.enumeration import enumerate_explanations  # noqa: E402
-
-
-def interop_runs(rows):
-    folder = ROOT / "fixtures" / "interop"
-    meta = json.loads((folder / "meta.json").read_text())
-    space = formats.parse_feature_space((folder / "feature_space.json").read_text())
-    model = formats.parse_ensemble_dump(
-        (folder / "model_dump.json").read_text(), space, class_names=tuple(meta["classes"])
-    )
-    points = formats.parse_instances((folder / "points.csv").read_text(), space)
-    return [(model, points[row]) for row in rows]
+from workloads import load_interop  # noqa: E402
 
 
 def pin_spec(seed):
@@ -117,7 +107,8 @@ def main() -> int:
         runs, name = pin_runs(spec), f"pin {spec}"
     else:
         rows = [int(x) for x in args.interop.split(",")]
-        runs, name = interop_runs(rows), f"interop rows {rows}"
+        model, points = load_interop()
+        runs, name = [(model, points[row]) for row in rows], f"interop rows {rows}"
     recorded = record(runs, args.mode)
     totals = [replay(recorded) for _ in range(args.repeats)]
     total, calls = statistics.median_low(totals), sum(map(len, recorded))

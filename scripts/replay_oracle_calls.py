@@ -43,21 +43,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from ffax import cli, enumeration, formats, oracle  # noqa: E402
+from ffax import cli, enumeration, oracle  # noqa: E402
 from ffax.enumeration import Budget, enumerate_explanations  # noqa: E402
+from workloads import INTEROP, SYNTH_CALLS, load_interop, synth_units  # noqa: E402
 
-INTEROP = ROOT / "fixtures" / "interop"
 DECIDE = "_find_counterexample_unchecked"
-
-
-def interop_runs(rows):
-    meta = json.loads((INTEROP / "meta.json").read_text())
-    space = formats.parse_feature_space((INTEROP / "feature_space.json").read_text())
-    model = formats.parse_ensemble_dump(
-        (INTEROP / "model_dump.json").read_text(), space, class_names=tuple(meta["classes"])
-    )
-    points = formats.parse_instances((INTEROP / "points.csv").read_text(), space)
-    return [(model, points[row]) for row in rows]
 
 
 @contextlib.contextmanager
@@ -153,8 +143,6 @@ def main() -> int:
         parser.error("--repeats must be at least 1")
 
     if args.synth is not None:
-        from workloads import SYNTH_CALLS, synth_units
-
         calls = record(synth_units(args.synth), "cxp-first", Budget(max_oracle_calls=SYNTH_CALLS))
         name, mode = f"synth-oracle seed {args.synth}", "cxp-first"
     elif args.explain is not None:
@@ -162,7 +150,8 @@ def main() -> int:
         name, mode = f"explain interop rows {args.explain}", "explain"
     else:
         rows = [int(x) for x in args.interop.split(",")]
-        calls = record(interop_runs(rows), args.mode)
+        model, points = load_interop()
+        calls = record([(model, points[row]) for row in rows], args.mode)
         name, mode = f"interop rows {rows}", args.mode
     decisions = [call for call in calls if call[0] == DECIDE]
     totals = [replay(calls) for _ in range(args.repeats)]

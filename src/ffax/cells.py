@@ -11,7 +11,8 @@ representative can never escape its cell even between adjacent floats.
 Categorical and boolean features need no cutting: each declared value is its
 own cell. ``CellSystem`` also compiles trees into a cell form (each test is
 the bitmask of the cells it sends yes) used by both the exhaustive grid
-evaluator here and the branch-and-bound engine in ffax.oracle.
+evaluator here and the branch-and-bound engine in ffax.oracle, whose test
+table by feature it builds in the same walk.
 """
 
 import math
@@ -42,6 +43,13 @@ GRID_CAP = 10**7
 # indices' bits, and a boolean test 0b10 (index 1 is True). A compiled tree's
 # leaves are numbered in preorder, yes subtree first: leaf i has ``bit`` 1 << i,
 # and a test's ``yes_leaves``/``no_leaves`` are the ORs of its subtrees' bits.
+# The same walk builds what the oracle reads: ``tests`` maps each feature to
+# ``(t, ((mask, yes_leaves, no_leaves), ...))`` for each tree ``t`` testing it, in
+# tree order; ``blocks`` gives each tree's ``(offset, all its leaves)``, the offset
+# the leaf count of the trees before it (the oracle's instance masks put all the
+# leaves in one bit space); ``full`` is each feature's full-domain mask. Leaves
+# stay numbered per tree, so the masks that key each tree's range memo stay small:
+# numbered across the 25-tree interop model they reach 199 bits, and search slows.
 
 
 def _ordinal_boundaries(lo: float, hi: float, thresholds) -> tuple[float, ...]:
@@ -100,9 +108,18 @@ class CellSystem:
             {v: i for i, v in enumerate(spec.values)} if spec.kind == CATEGORICAL else None
             for spec in space.features
         ]
-        self.trees: tuple[tuple[int, tuple], ...] = tuple(
-            (tree.class_id, self._compile(tree.root, [0])) for tree in model.trees
-        )
+        self.full = tuple((1 << size) - 1 for size in self.sizes)
+        trees, blocks, tests, offset = [], [], {}, 0
+        for t, tree in enumerate(model.trees):
+            count, found = [0], {}
+            trees.append((tree.class_id, self._compile(tree.root, count, found)))
+            blocks.append((offset, (1 << count[0]) - 1))
+            offset += count[0]
+            for fid, tree_tests in found.items():
+                tests.setdefault(fid, []).append((t, tuple(tree_tests)))
+        self.trees: tuple[tuple[int, tuple], ...] = tuple(trees)
+        self.blocks = tuple(blocks)
+        self.tests = {fid: tuple(per_tree) for fid, per_tree in tests.items()}
 
     # -- value <-> cell index --------------------------------------------
 
@@ -130,8 +147,9 @@ class CellSystem:
 
     # -- tree compilation --------------------------------------------------
 
-    def _compile(self, node, count: list[int]):
-        """The compiled form of ``node``; ``count[0]`` is the next leaf number."""
+    def _compile(self, node, count: list[int], tests: dict):
+        """The compiled form of ``node``; ``count[0]`` is the next leaf number,
+        and each test kept is appended to ``tests[fid]`` after its subtrees'."""
         if isinstance(node, Leaf):
             count[0] += 1
             return ("leaf", node.weight, 1 << count[0] - 1)
@@ -139,9 +157,9 @@ class CellSystem:
             spec = self.model.space[node.fid]
             t = node.threshold
             if t >= spec.hi:  # every domain value passes the test
-                return self._compile(node.yes, count)
+                return self._compile(node.yes, count, tests)
             if t < spec.lo:  # no domain value passes
-                return self._compile(node.no, count)
+                return self._compile(node.no, count, tests)
             bounds = self.boundaries[node.fid]
             p = bisect_left(bounds, t)
             # In-range thresholds of the bound model are boundaries by
@@ -155,19 +173,18 @@ class CellSystem:
                 if v in index:
                     mask |= 1 << index[v]
             if not mask:
-                return self._compile(node.no, count)
-            if mask == (1 << self.sizes[node.fid]) - 1:
-                return self._compile(node.yes, count)
+                return self._compile(node.no, count, tests)
+            if mask == self.full[node.fid]:
+                return self._compile(node.yes, count, tests)
         else:
             mask = 0b10
         start = count[0]
-        yes = self._compile(node.yes, count)
+        yes = self._compile(node.yes, count, tests)
         middle = count[0]
-        no = self._compile(node.no, count)
-        return (
-            "test", node.fid, mask, yes, no,
-            (1 << middle) - (1 << start), (1 << count[0]) - (1 << middle),
-        )
+        no = self._compile(node.no, count, tests)
+        yes_leaves, no_leaves = (1 << middle) - (1 << start), (1 << count[0]) - (1 << middle)
+        tests.setdefault(node.fid, []).append((mask, yes_leaves, no_leaves))
+        return ("test", node.fid, mask, yes, no, yes_leaves, no_leaves)
 
 
 def _collect_thresholds(node, acc: dict[int, set[float]]) -> None:

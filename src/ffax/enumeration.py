@@ -52,8 +52,6 @@ class Explanation:
 
     kind: str  # "axp" | "cxp"
     mask: int
-    instance: Instance
-    class_id: int
     discovery_index: int
     discovery_time: float
     oracle_calls: int  # cumulative count when this set was recorded
@@ -489,8 +487,6 @@ def enumerate_explanations(
         entry = Explanation(
             kind=kind,
             mask=_mask(features),
-            instance=v,
-            class_id=c,
             discovery_index=index,
             discovery_time=clock.elapsed(),
             oracle_calls=clock.calls,

@@ -609,8 +609,11 @@ def read_attribution_doc(text: str) -> list[dict]:
     for i, item in enumerate(doc["entries"]):
         where = f"entries[{i}]"
         values = item.get("values") if isinstance(item, dict) else None
-        if not isinstance(values, list) or "source" not in item:
-            raise ParseError("entry needs a 'values' list and a 'source'", where)
+        if not isinstance(values, list) or not isinstance(item.get("source"), str):
+            raise ParseError("entry needs a 'values' list and a 'source' string", where)
+        complete = item.get("complete", False)
+        if not isinstance(complete, bool):
+            raise ParseError(f"'complete' must be true or false, got {complete!r}", where)
         out.append(
             {
                 "row": item.get("row"),
@@ -618,8 +621,8 @@ def read_attribution_doc(text: str) -> list[dict]:
                 "vector": AttributionVector(
                     values=tuple(_number(x, f"value {j}", where) for j, x in enumerate(values)),
                     source=item["source"],
-                    basis=item.get("basis", 0),
-                    complete=item.get("complete", False),
+                    basis=_int(item.get("basis", 0), "'basis'", where),
+                    complete=complete,
                 ),
                 "features": doc["features"],
             }

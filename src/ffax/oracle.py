@@ -38,29 +38,31 @@ test the leaf bits of its two subtrees. A leaf is reachable exactly when
 every test on its path meets the box on its side (a yes side needs
 ``dom & mask``, a no side ``dom & ~mask``), a conjunction with one conjunct
 per feature. So the leaves that feature ``fid``'s domain ``dom`` shuts out
-depend on ``(fid, dom)`` alone: ``_shut_out`` reads them, per tree, from one
-per-model table of the compiled tests by feature, memoized per model. The
-instance masks and every child box of every objective read that one table.
-At the root box no tree is walked: the leaves of all the model's trees share
-one bit space, a block per tree, and per instance the oracle records each
-feature's shut-out leaves at the instance's cell (``at``) and on every other
-cell (``away``, the one-sided slab below). Compilation drops every test that
-a full domain would decide, so a free feature shuts out nothing, and the
-root's mask ``keep`` is the complement of the OR of the fixed features'
-``at`` masks (a one-sided slab also drops its feature's ``away`` mask). A
-child box narrows only the split feature's domain, so a tree's child mask is
-its parent's less what the new domain shuts out. The mask also tells which
-reachable tests are ambiguous: those with reachable leaves on both sides. A
-tree's ``(lo, hi, first splits)`` range is therefore a function of its mask;
-it is memoized per tree, and a miss is one walk restricted to the mask with
-the box walk's tie rules. The map sends each feature with a reachable
-ambiguous test to the first such test node in the tree's preorder, and the
-first tree in tree order that maps the split feature names the split. Each
-heap entry carries its box's ranges with their masks, and a child looks a
-range up only where its mask shrank. Bounds and gaps are still summed over
-all trees in tree-index order, so they are bit-identical to a full re-walk
-of every tree, and so are the pops and the result. The memos live on the
-model's ``_TreeOracle`` and go with it.
+depend on ``(fid, dom)`` alone: ``_shut_out`` reads them, per tree, from
+``CellSystem.tests``, the table of the compiled tests by feature that the
+compile walk builds, memoized per model. The instance masks and every child
+box of every objective read that one table. At the root box no tree is
+walked: the leaves of all the model's trees share one bit space, a block per
+tree at its ``CellSystem.blocks`` offset, and per instance the oracle
+records each feature's shut-out leaves at the instance's cell (``at``) and
+on every other cell (``away``, the one-sided slab below). The numbering
+stays per tree, so each tree's range memo is keyed on a small mask.
+Compilation drops every test that a full domain would decide, so a free
+feature shuts out nothing, and the root's mask ``keep`` is the complement of
+the OR of the fixed features' ``at`` masks (a one-sided slab also drops its
+feature's ``away`` mask). A child box narrows only the split feature's
+domain, so a tree's child mask is its parent's less what the new domain
+shuts out. The mask also tells which reachable tests are ambiguous: those
+with reachable leaves on both sides. A tree's ``(lo, hi, first splits)``
+range is therefore a function of its mask; it is memoized per tree, and a
+miss is one walk restricted to the mask with the box walk's tie rules. The
+map sends each feature with a reachable ambiguous test to the first such
+test node in the tree's preorder, and the first tree in tree order that maps
+the split feature names the split. Each heap entry carries its box's ranges
+with their masks, and a child looks a range up only where its mask shrank.
+Bounds and gaps are still summed over all trees in tree-index order, so they
+are bit-identical to a full re-walk of every tree, and so are the pops and
+the result. The memos live on the model's ``_TreeOracle`` and go with it.
 
 A witness is materialized from the box that the threshold search accepts:
 every feature whose instance cell lies in the box's domain keeps the
@@ -159,13 +161,12 @@ class _Objective:
     """Maximize (base+sum of pos-class trees) - (base+sum of neg-class trees).
 
     ``trees`` lists the compiled roots in objective order, the ``n_pos``
-    pos-class trees first, ``blocks`` each tree's ``(offset, all leaves)`` in
-    the model's leaf space, ``memos`` each tree's range memo (reachable-leaf
-    mask -> range), and ``slots`` maps a model tree to its position in
-    objective order, or None if the objective leaves it out. ``tests`` and
-    ``shut`` are the model's test table and its ``_shut_out`` memo. Each of
-    these is shared by every objective of the model, and none refers back to
-    the model's ``_TreeOracle``.
+    pos-class trees first, ``blocks`` their ``cells.blocks``, ``memos`` each
+    tree's range memo (reachable-leaf mask -> range), and ``slots`` maps a
+    model tree to its position in objective order, or None if the objective
+    leaves it out. ``tests`` is ``cells.tests`` and ``shut`` the model's
+    ``_shut_out`` memo. The memos are shared by every objective of the model,
+    and no objective refers back to the model's ``_TreeOracle``.
     """
 
     __slots__ = (
@@ -173,8 +174,7 @@ class _Objective:
         "shut",
     )
 
-    def __init__(self, cells: CellSystem, pos: int | None, neg: int | None, blocks, memos,
-                 tests, shut):
+    def __init__(self, cells: CellSystem, pos: int | None, neg: int | None, memos, shut):
         model = cells.model
         self.neg = neg
         pos_order = [t for t, (cid, _) in enumerate(cells.trees) if cid == pos]
@@ -183,18 +183,18 @@ class _Objective:
         self.n_pos = len(pos_order)
         self.pos_base = model.base_score[pos] if pos is not None else 0.0
         self.neg_base = model.base_score[neg] if neg is not None else 0.0
-        self.blocks = tuple(blocks[t] for t in order)
+        self.blocks = tuple(cells.blocks[t] for t in order)
         self.memos = tuple(memos[t] for t in order)
         position = {t: i for i, t in enumerate(order)}
         self.slots = tuple(position.get(t) for t in range(len(cells.trees)))
-        self.tests = tests
+        self.tests = cells.tests
         self.shut = shut
 
 
 def _shut_out(tests, memo, fid: int, dom: int) -> tuple:
     """``(t, leaves)`` for each model tree ``t`` where ``dom`` shuts out some leaf.
 
-    ``tests`` is a model's test table (``_TreeOracle``) and ``memo`` its dict
+    ``tests`` is a model's test table (``CellSystem.tests``) and ``memo`` a dict
     keyed on ``(fid, dom)``. ``leaves`` are the tree's leaves, in its own
     numbering, that some path test on ``fid`` shuts out when ``fid``'s domain
     is ``dom``: a test shuts out its yes side when ``dom`` misses its mask,
@@ -368,15 +368,12 @@ def _maximize(
 
 
 class _TreeOracle:
-    """Per-model reusable state: cell system plus compiled objectives.
+    """Per-model reusable state: the compiled ``cells`` and the memos of its queries.
 
-    ``_tests`` is the model's test table: it maps each feature to ``(t, its
-    tests)`` for each tree ``t`` that tests it, in the order of
-    ``cells.trees``, each test as ``(mask, yes leaves, no leaves)`` in the
-    tree's own leaf numbers. Through ``_shut_out``, memoized in ``_shut`` on
-    ``(fid, dom)``, it serves both the instance masks and the child boxes of
-    every objective. For the instance masks, the leaves of all the trees share
-    one bit space, each tree a block at an offset, in the same order.
+    The test table, the leaf blocks and the full domains come from ``cells``.
+    The oracle keeps the objectives, each tree's range memo, ``_shut`` (the
+    ``_shut_out`` memo on ``(fid, dom)`` that the instance masks and the child
+    boxes of every objective share) and the last instance's masks.
     """
 
     def __init__(self, model: TreeEnsemble):
@@ -384,34 +381,13 @@ class _TreeOracle:
         self.cells = CellSystem(model)
         self._objectives: dict[tuple, _Objective] = {}
         self._range_memos = tuple({} for _ in self.cells.trees)
-        self._full = tuple((1 << size) - 1 for size in self.cells.sizes)
-        blocks = []
-        by_feature: dict[int, dict] = {}
-        offset = 0
-        for t, (_, root) in enumerate(self.cells.trees):
-            leaves = root[2] if root[0] == "leaf" else root[5] | root[6]
-            blocks.append((offset, leaves))
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                if node[0] == "test":
-                    _, fid, mask, yes, no, yes_leaves, no_leaves = node
-                    by_feature.setdefault(fid, {}).setdefault(t, []).append(
-                        (mask, yes_leaves, no_leaves)
-                    )
-                    stack += (yes, no)
-            offset += leaves.bit_length()
-        self._blocks = tuple(blocks)
-        self._tests = {fid: tuple(per_tree.items()) for fid, per_tree in by_feature.items()}
         self._shut: dict[tuple[int, int], tuple] = {}
         self._v_masks: tuple[Instance | None, tuple] = (None, ())
 
     def objective(self, pos: int | None, neg: int | None) -> _Objective:
         key = (pos, neg)
         if key not in self._objectives:
-            self._objectives[key] = _Objective(
-                self.cells, pos, neg, self._blocks, self._range_memos, self._tests, self._shut
-            )
+            self._objectives[key] = _Objective(self.cells, pos, neg, self._range_memos, self._shut)
         return self._objectives[key]
 
     def instance_masks(self, v: Instance) -> tuple:
@@ -425,14 +401,15 @@ class _TreeOracle:
         """
         last, masks = self._v_masks
         if last is not v:
-            cells = tuple(1 << cell for cell in self.cells.instance_cells(v))
+            compiled = self.cells
+            cells = tuple(1 << cell for cell in compiled.instance_cells(v))
             at = [0] * len(cells)
             away = [0] * len(cells)
-            for fid in self._tests:
+            for fid in compiled.tests:
                 cell = cells[fid]
-                for side, dom in ((at, cell), (away, self._full[fid] ^ cell)):
-                    for t, leaves in _shut_out(self._tests, self._shut, fid, dom):
-                        side[fid] |= leaves << self._blocks[t][0]
+                for side, dom in ((at, cell), (away, compiled.full[fid] ^ cell)):
+                    for t, leaves in _shut_out(compiled.tests, self._shut, fid, dom):
+                        side[fid] |= leaves << compiled.blocks[t][0]
             masks = (cells, at, away)
             self._v_masks = (v, masks)
         return masks
@@ -446,7 +423,7 @@ class _TreeOracle:
         that a full domain would decide.
         """
         cells, at, _ = self.instance_masks(v)
-        box = list(self._full)
+        box = list(self.cells.full)
         shut = 0
         for fid in fixed:
             box[fid] = cells[fid]

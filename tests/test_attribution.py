@@ -161,8 +161,6 @@ def fabricate_report(entries, m=6):
         Explanation(
             kind="axp",
             mask=sum(1 << fid for fid in features),
-            instance=Instance(values=tuple([False] * m)),
-            class_id=0,
             discovery_index=i,
             discovery_time=t,
             oracle_calls=i,

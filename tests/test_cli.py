@@ -207,6 +207,28 @@ def test_compare_self_and_external(tmp_path, capsys):
     assert rows["heuristic-a"]["rbo"] < 1.0
 
 
+def test_compare_refuses_a_badly_typed_reference_entry(tmp_path, capsys):
+    # Read as given, these would reach the comparison document as a
+    # "reference" that is not a string.
+    ref = tmp_path / "ref.json"
+    assert main(adult_args("attribute", "--output", str(ref))) == 0
+    doc = json.loads(ref.read_text())
+    good = doc["entries"][0]
+    for field, bad in (("source", 7), ("basis", True), ("complete", "no")):
+        doc["entries"][0] = {**good, field: bad}
+        ref.write_text(json.dumps(doc))
+        out = tmp_path / "cmp.json"
+        code = main([
+            "compare",
+            "--space", str(ADULT / "feature_space.json"),
+            "--reference", str(ref),
+            "--candidate", f"self={ref}",
+            "--output", str(out),
+        ])
+        assert code == 2 and not out.exists()
+        assert "entries[0]: " in capsys.readouterr().err
+
+
 def test_compare_unknown_feature_exits_5(tmp_path):
     ref = tmp_path / "ref.json"
     assert main(adult_args("attribute", "--output", str(ref))) == 0

@@ -256,6 +256,21 @@ def test_attribution_doc_roundtrip(adult_space):
     ]
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("source", 7), ("source", None), ("basis", True), ("basis", -1), ("basis", 2.0),
+    ("complete", "no"), ("complete", 1),
+])
+def test_attribution_doc_refuses_a_badly_typed_provenance(adult_space, field, bad):
+    vec = ffa([frozenset({0, 5})], 6, complete=True)
+    doc = json.loads(formats.write_attribution_doc(
+        adult_space, [{"row": 0, "class_id": 0, "vector": vec}] * 2
+    ))
+    doc["entries"][1][field] = bad
+    with pytest.raises(ParseError, match=rf"^entries\[1\]: .*{field}") as exc:
+        formats.read_attribution_doc(json.dumps(doc))
+    assert exc.value.location == "entries[1]"
+
+
 def test_matrix_export_10x10():
     vec = AttributionVector(values=tuple(float(i) for i in range(100)), source="ffa")
     text = formats.write_attribution_matrix(vec, 10, 10)

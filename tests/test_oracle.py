@@ -1048,6 +1048,93 @@ def test_incremental_search_walks_fewer_trees_on_interop(monkeypatch, interop):
     assert incremental < reference, (incremental, reference)
 
 
+# --- the compile walk's test table, blocks and full domains ------------------------
+
+
+def _reference_artifacts(cells):
+    """``(tests, blocks, full)`` by a second walk of the compiled trees.
+
+    A frozen copy of the walk the oracle made over ``cells.trees`` before
+    the compile walk built these itself.
+    """
+    full = tuple((1 << size) - 1 for size in cells.sizes)
+    blocks = []
+    by_feature = {}
+    offset = 0
+    for t, (_, root) in enumerate(cells.trees):
+        leaves = root[2] if root[0] == "leaf" else root[5] | root[6]
+        blocks.append((offset, leaves))
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node[0] == "test":
+                _, fid, mask, yes, no, yes_leaves, no_leaves = node
+                by_feature.setdefault(fid, {}).setdefault(t, []).append(
+                    (mask, yes_leaves, no_leaves)
+                )
+                stack += (yes, no)
+        offset += leaves.bit_length()
+    tests = {fid: tuple(per_tree.items()) for fid, per_tree in by_feature.items()}
+    return tests, tuple(blocks), full
+
+
+def _dropping_node(rng, space, depth):
+    """A random tree over every feature but the last, whose tests include
+    ones compilation drops: a threshold outside [lo, hi) of its ordinal's
+    [0, 10], or a membership set with all or none of its feature's values."""
+    if depth == 0 or rng.random() < 0.25:
+        return Leaf(rng.choice((0.5, -0.5, 1.0, 0.0)))
+    spec = space[rng.randrange(space.m - 1)]
+    yes, no = _dropping_node(rng, space, depth - 1), _dropping_node(rng, space, depth - 1)
+    if spec.kind == "ordinal":
+        return ThresholdSplit(spec.fid, rng.choice((-1.0, 0.0, 2.5, 5.0, 10.0, 12.0)), yes=yes, no=no)
+    if spec.kind == "categorical":
+        values = rng.choice((
+            frozenset(spec.values), frozenset({"none of them"}),
+            frozenset(rng.sample(spec.values, rng.randint(1, len(spec.values) - 1))),
+        ))
+        return MembershipSplit(spec.fid, values, yes=yes, no=no)
+    return BooleanSplit(spec.fid, yes=yes, no=no)
+
+
+def _splits(node):
+    return 0 if isinstance(node, Leaf) else 1 + _splits(node.yes) + _splits(node.no)
+
+
+def test_the_compile_walk_builds_what_the_oracle_walk_built(rng):
+    # The same test table, blocks and full-domain masks as the frozen walk,
+    # on random models where the last feature is never tested. Within one
+    # tree the tests may come in another order: ``_shut_out`` ORs them.
+    kinds = set()
+    multiclass = lone = dropped = 0
+    for n in range(300):
+        space = random_space(rng, rng.randint(2, 6))
+        k = 3 if n % 2 else 2
+        model = TreeEnsemble(space, ("a", "b", "c")[:k], tuple(
+            Tree(rng.randrange(k) if k == 3 else 1, _dropping_node(rng, space, rng.randint(0, 4)))
+            for _ in range(rng.randint(1, 5))
+        ))
+        cells = CellSystem(model)
+        tests, blocks, full = _reference_artifacts(cells)
+        assert cells.full == full and cells.blocks == blocks
+        assert {fid: [(t, sorted(found)) for t, found in per_tree]
+                for fid, per_tree in cells.tests.items()} == {
+            fid: [(t, sorted(found)) for t, found in per_tree] for fid, per_tree in tests.items()
+        }
+        assert space.m - 1 not in cells.tests
+        kinds |= {space[fid].kind for fid in cells.tests}
+        multiclass += not model.single_score
+        lone += sum(root[0] == "leaf" for _, root in cells.trees)
+        dropped += sum(_splits(tree.root) for tree in model.trees) > sum(
+            len(found) for per_tree in cells.tests.values() for _, found in per_tree
+        )
+    assert kinds == {"ordinal", "categorical", "boolean"}
+    assert multiclass > 100 and lone > 100 and dropped > 100, (multiclass, lone, dropped)
+    assert set(vars(oracle._TreeOracle(model))) == {
+        "model", "cells", "_objectives", "_range_memos", "_shut", "_v_masks"
+    }
+
+
 # --- root masks and ranges from reachable-leaf masks against the box walk ----------
 
 
@@ -1241,7 +1328,7 @@ def test_leaf_masks_give_the_box_walk_ranges(rng):
                     split += dom != box[fid]
                     box = box[:fid] + (dom,) + box[fid + 1:]
                     narrowed = reach.copy()
-                    for t, shut in oracle._shut_out(compiled._tests, compiled._shut, fid, dom):
+                    for t, shut in oracle._shut_out(compiled.cells.tests, compiled._shut, fid, dom):
                         if obj.slots[t] is not None:
                             narrowed[obj.slots[t]] &= ~shut
                     shrunk += narrowed != reach
