@@ -117,9 +117,9 @@ def count_searches(calls):
     maximize = oracle._maximize
     counts = {"searches": 0, "bound_searches": 0}
 
-    def counting(obj, box, keep, fail_below=None, strict=False):
-        counts["searches" if fail_below is not None else "bound_searches"] += 1
-        return maximize(obj, box, keep, fail_below, strict)
+    def counting(obj, box, keep, target=None):
+        counts["searches" if target is not None else "bound_searches"] += 1
+        return maximize(obj, box, keep, target)
 
     oracle._maximize = counting
     try:

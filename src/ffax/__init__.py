@@ -52,7 +52,6 @@ from .oracle import (
     SufficiencyResult,
     brute_force_decide,
     decide_sufficiency,
-    decide_sufficiency_linear,
     find_counterexample,
     score_bounds,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "conversion_check",
     "convergence_series",
     "decide_sufficiency",
-    "decide_sufficiency_linear",
     "enumerate_explanations",
     "evaluate",
     "extract_axp",

@@ -275,13 +275,13 @@ def cmd_attribute(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     space = formats.parse_feature_space(_read(args.space))
-    reference_entries = formats.read_attribution_doc(_read(args.reference))
+    reference_entries = formats.read_attribution_doc(_read(args.reference), space)
     if not reference_entries:
         raise DataMismatchError("reference document has no entries")
     candidate_lists: list[tuple[str, list[attr.AttributionVector]]] = []
     for name, path in args.candidate:
         if path.endswith(".json"):
-            entries = formats.read_attribution_doc(_read(path))
+            entries = formats.read_attribution_doc(_read(path), space)
             if len(entries) != len(reference_entries):
                 raise DataMismatchError(
                     f"candidate {name!r} covers {len(entries)} instances,"

@@ -374,6 +374,9 @@ def parse_instances(text: str, space: FeatureSpace) -> list[Instance]:
     for row_no, row in enumerate(reader):
         if not row or all(not cell.strip() for cell in row):
             continue
+        if len(row) != len(header):
+            problems.append(f"row {row_no} has {len(row)} cells, the header has {len(header)}")
+            continue
         values = []
         for spec in space.features:
             cell = row[column_of[spec.fid]].strip()
@@ -600,17 +603,28 @@ def write_attribution_doc(
     return json.dumps(doc)
 
 
-def read_attribution_doc(text: str) -> list[dict]:
+def read_attribution_doc(text: str, space: FeatureSpace) -> list[dict]:
+    """The entries of an attribution document over ``space``: row, class_id and vector.
+
+    Its ``features`` must be ``space``'s names in order (``DataMismatchError``
+    otherwise), and each entry needs one value per feature.
+    """
     doc = _load(text, "attribution document", "attribution/1")
     for key in ("features", "entries"):
         if not isinstance(doc.get(key), list):
             raise ParseError(f"attribution document needs a list under {key!r}")
+    if doc["features"] != [spec.name for spec in space.features]:
+        raise DataMismatchError(
+            f"attribution document's features {doc['features']!r} are not the space's names in order"
+        )
     out = []
     for i, item in enumerate(doc["entries"]):
         where = f"entries[{i}]"
         values = item.get("values") if isinstance(item, dict) else None
         if not isinstance(values, list) or not isinstance(item.get("source"), str):
             raise ParseError("entry needs a 'values' list and a 'source' string", where)
+        if len(values) != space.m:
+            raise ParseError(f"entry has {len(values)} values for {space.m} features", where)
         complete = item.get("complete", False)
         if not isinstance(complete, bool):
             raise ParseError(f"'complete' must be true or false, got {complete!r}", where)
@@ -624,7 +638,6 @@ def read_attribution_doc(text: str) -> list[dict]:
                     basis=_int(item.get("basis", 0), "'basis'", where),
                     complete=complete,
                 ),
-                "features": doc["features"],
             }
         )
     return out

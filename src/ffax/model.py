@@ -333,13 +333,6 @@ class Prediction:
     class_id: int
     scores: tuple[float, ...]
 
-    @property
-    def score(self) -> float:
-        """Scalar margin of a binary single-score model."""
-        if len(self.scores) != 2:
-            raise ValueError("scalar score is defined for binary models only")
-        return self.scores[1]
-
 
 def argmax_class(scores: Sequence[float]) -> int:
     """Argmax with ties broken by the lowest class id."""

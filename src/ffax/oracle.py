@@ -78,9 +78,9 @@ one's).
 One-sided trials. A deletion trial of AXp extraction drops a feature ``f``
 from a set ``C`` that forces the class, and asks whether fixing ``C - {f}``
 admits a flip. A point whose ``f`` lies in the instance's cell is a point of
-``box(C)``, which has none, so the trial names ``f`` as ``away`` and the
-search runs only on the slab of ``box(C - {f})`` where ``f``'s domain is
-every cell but the instance's. Before any search, the trial answers "no
+``box(C)``, which has none, so the trial names ``f`` as ``away`` and the box
+it searches is the slab of ``box(C - {f})`` where ``f``'s domain is every
+cell but the instance's. Before any search, the trial answers "no
 flip" at once when ``at[f] & keep`` is empty, ``keep`` being the root mask
 of ``C - {f}`` before the slab's ``away`` mask is ANDed in: no leaf that
 fixing ``f`` would shut out is still reachable. That is exact. Take a point
@@ -91,15 +91,15 @@ moving ``x``'s ``f`` back to the instance's cell keeps every leaf, and the
 point it makes lies in ``box(C)``, which does not flip. A feature with one
 cell has no compiled test, so its ``at`` mask is 0 and its (empty) slab is
 never searched. The verdict is the trial's, and so is every call count: a "no
-flip" has no witness. The witness of a search is read against the unsliced
-box: the slab already moved ``f`` off the instance's cell, and read against
-the slab, an unsplit ``f`` would keep the instance's value, a point outside
-the slab that does not flip.
+flip" has no witness, and a witness takes ``f`` off the instance's cell.
 
 Class change is decided per the model's tie rule: for a single-score binary
 model with prediction 1 the query is min score < 0, with prediction 0 it is
 max score >= 0; for multiclass it is a disjunction over rival classes c' of
-max(score_c' - score_c) reaching 0, strictly when c' > c.
+max(score_c' - score_c) reaching 0, strictly when c' > c. Each is one flip
+query ``(pos, neg, target)``, max(score_pos - score_neg) >= target, whose
+target is 0.0 or, for a strict one, the float above it (x > 0 exactly when
+x >= that float).
 
 ``brute_force_decide`` answers the same questions by enumerating the cell grid
 (exact because the score is constant per cell) and serves as the check of the
@@ -222,6 +222,7 @@ def _shut_out(tests, memo, fid: int, dom: int) -> tuple:
 
 
 _NO_SPLITS: dict = {}  # a leaf's first splits; shared, never mutated
+_ABOVE_ZERO = math.nextafter(0.0, math.inf)  # x > 0 exactly when x >= this
 
 
 def _leaf_range(node, reach: int):
@@ -291,29 +292,23 @@ def _split_box(box, node):
     return tuple(yes_box), tuple(no_box)
 
 
-def _maximize(
-    obj: _Objective, box, keep: int, fail_below: float | None = None, strict: bool = False
-):
+def _maximize(obj: _Objective, box, keep: int, target: float | None = None):
     """Exact max of the objective and an optimal box.
 
     ``keep`` holds, in the model's leaf space, the leaves reachable under
     ``box`` (bits past them may be set): ``_TreeOracle.root`` builds both.
 
-    With ``fail_below`` set, search for a box whose every point reaches the
-    target (>= fail_below, or > with strict) instead, and return it with its
-    floor: the root if its floor reaches the target, else the first child
-    whose floor does, as soon as it is made. Boxes pop by bound plus floor,
-    no box whose bound cannot reach the target is pushed, and an emptied
-    heap gives (None, None).
+    With ``target`` set, search for a box whose every point reaches it (>=
+    target) instead, and return it with its floor: the root if its floor
+    reaches the target, else the first child whose floor does, as soon as it
+    is made. Boxes pop by bound plus floor, no box whose bound cannot reach
+    the target is pushed, and an emptied heap gives (None, None).
 
     A heap entry carries its box's per-tree ranges, each with its mask of
     reachable leaves; a child clears from a tree's mask the leaves that its
     split domain shuts out (``_shut_out``), and looks the range up by the new
     mask only if it shrank.
     """
-    target = fail_below
-    if strict and target is not None:  # x > t exactly when x >= the next float above t
-        target = math.nextafter(target, math.inf)
     ranges = [_range(obj, t, keep >> off & leaves) for t, (off, leaves) in enumerate(obj.blocks)]
     bound, floor = _bounds(obj, ranges)
     order = -bound
@@ -435,49 +430,50 @@ class _TreeOracle:
     ) -> Instance | None:
         """A domain-valid x agreeing with v on ``fixed`` with class != c.
 
-        x keeps v's exact value on every feature whose cell lies in the
-        domain of the witness box, the box whose floor flips that the search
-        accepts, fixed or free (see the module docstring). With ``away`` set,
-        a free feature such that ``fixed | {away}`` forces c, the answer is
-        None with no search when no test on ``away`` that v's cell fails is
-        reachable under ``fixed``; otherwise only the slab where ``away``
-        leaves v's cell is searched (see "one-sided trials").
+        Each flip query is ``(pos, neg, target)``: some point where
+        ``pos - neg`` reaches ``target``, 0.0 or, where the tie rule makes the
+        flip strict, ``_ABOVE_ZERO``. x keeps v's exact value on every feature
+        whose cell lies in the domain of the witness box, the box whose floor
+        flips that the search accepts, fixed or free (see the module
+        docstring). With ``away`` set, a free feature such that ``fixed |
+        {away}`` forces c, the answer is None with no search when no test on
+        ``away`` that v's cell fails is reachable under ``fixed``; otherwise
+        the box searched is the slab where ``away`` leaves v's cell (see
+        "one-sided trials").
         """
         box, keep = self.root(v, fixed)
-        search = box
         if away is not None:
             cells, at, slab = self.instance_masks(v)
             if not at[away] & keep:  # fixing away shuts out no reachable leaf
                 return None
             keep &= ~slab[away]
-            search = box[:away] + (box[away] & ~cells[away],) + box[away + 1:]
-        # (pos, neg, strict): a flip needs max(pos - neg) >= 0, or > 0 if strict
+            box = box[:away] + (box[away] & ~cells[away],) + box[away + 1:]
         if not self.model.single_score:  # ties go to the lower class id
-            queries = [(rival, c, rival > c) for rival in range(self.model.k) if rival != c]
-        elif c == 1:  # flip needs score < 0, i.e. max(-score) > 0
-            queries = [(None, 1, True)]
+            queries = [(rival, c, _ABOVE_ZERO if rival > c else 0.0)
+                       for rival in range(self.model.k) if rival != c]
+        elif c == 1:  # flip needs score < 0, i.e. -score > 0
+            queries = [(None, 1, _ABOVE_ZERO)]
         else:  # flip needs score >= 0
-            queries = [(1, None, False)]
-        for pos, neg, strict in queries:
-            _, wbox = _maximize(self.objective(pos, neg), search, keep, 0.0, strict)
+            queries = [(1, None, 0.0)]
+        for pos, neg, target in queries:
+            _, wbox = _maximize(self.objective(pos, neg), box, keep, target)
             if wbox is not None:
-                return self._witness_point(v, box, wbox)
+                return self._witness_point(v, wbox)
         return None
 
-    def _witness_point(self, v: Instance, box, wbox) -> Instance:
-        """A point of the box ``wbox``, searched from ``box``, like v.
+    def _witness_point(self, v: Instance, wbox) -> Instance:
+        """A point of the box ``wbox`` like v.
 
         It keeps v's exact value on every feature whose domain holds v's cell
         and takes the representative of the domain's lowest cell elsewhere.
-        Only a domain the search split can have lost v's cell: every other one
-        still equals ``box``'s, a fixed feature's cell or a free feature's
-        full domain.
+        A domain the search left unsplit holds v's cell, a fixed feature's
+        cell or a free feature's full domain, unless it is a slab's.
         """
         masks = self.instance_masks(v)[0]
         reps = self.cells.reps
         values = list(v.values)
         for fid, dom in enumerate(wbox):
-            if dom != box[fid] and not dom & masks[fid]:
+            if not dom & masks[fid]:
                 values[fid] = reps[fid][(dom & -dom).bit_length() - 1]
         return Instance(values=tuple(values))
 
@@ -509,12 +505,13 @@ def _tree_oracle(model: Model) -> _TreeOracle:
 # --- linear models ------------------------------------------------------------
 
 
-def _linear_extreme(model: LinearModel, v: Instance, fixed, want_max: bool) -> tuple[float, list]:
-    """Extreme score over completions, with the achieving point's values.
+def _linear_counterexample(model: LinearModel, v: Instance, c: int, fixed) -> Instance | None:
+    """Closed form: each free feature takes its adversarial endpoint.
 
-    Each free feature takes its extreme endpoint, and the point is scored by
-    ``model.score``, the very sum that evaluate() makes there.
+    Class 1 needs the min score (< 0 flips), class 0 the max (>= 0 flips);
+    the point is scored by ``model.score``, the very sum evaluate() makes.
     """
+    want_max = c != 1
     values = []
     for fid, spec in enumerate(model.space.features):
         if fid in fixed:
@@ -526,23 +523,9 @@ def _linear_extreme(model: LinearModel, v: Instance, fixed, want_max: bool) -> t
         pick_hi = hi_c > lo_c if want_max else hi_c < lo_c
         x = hi if pick_hi else lo
         values.append(bool(x) if spec.kind == BOOLEAN else x)
-    return model.score(values), values
-
-
-def _linear_counterexample(model: LinearModel, v: Instance, c: int, fixed) -> Instance | None:
-    """Closed form: each free feature takes its adversarial endpoint."""
-    worst, point = _linear_extreme(model, v, fixed, want_max=c != 1)
-    flips = worst < 0.0 if c == 1 else worst >= 0.0
-    return Instance(values=tuple(point)) if flips else None
-
-
-def decide_sufficiency_linear(
-    model: LinearModel, v: Instance, c: int, subset: Iterable[int]
-) -> SufficiencyResult:
-    """``decide_sufficiency`` for a model that must be a LinearModel."""
-    if not isinstance(model, LinearModel):
-        raise CapabilityError("decide_sufficiency_linear needs a LinearModel")
-    return decide_sufficiency(model, v, c, subset)
+    worst = model.score(values)
+    flips = worst >= 0.0 if want_max else worst < 0.0
+    return Instance(values=tuple(values)) if flips else None
 
 
 # --- public operations ---------------------------------------------------------

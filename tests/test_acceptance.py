@@ -27,7 +27,6 @@ from ffax.oracle import (
     PartialAssignment,
     brute_force_decide,
     decide_sufficiency,
-    decide_sufficiency_linear,
     score_bounds,
 )
 from ffax.synth import random_ensemble, random_instance, random_linear, random_space
@@ -140,7 +139,7 @@ def test_criterion_3_oracle_agreement():
             v = random_instance(rng, space)
             c = evaluate(model, v).class_id
             fixed = {fid for fid in range(space.m) if rng.random() < 0.5}
-            result = decide_sufficiency_linear(model, v, c, fixed)
+            result = decide_sufficiency(model, v, c, fixed)
             assert result.sufficient == (not linear_corner_flip(model, v, c, fixed))
             if not result.sufficient:
                 assert evaluate(model, result.witness).class_id != c

@@ -209,12 +209,12 @@ def test_compare_self_and_external(tmp_path, capsys):
 
 def test_compare_refuses_a_badly_typed_reference_entry(tmp_path, capsys):
     # Read as given, these would reach the comparison document as a
-    # "reference" that is not a string.
+    # "reference" that is not a string, or compare 4 of the 6 features.
     ref = tmp_path / "ref.json"
     assert main(adult_args("attribute", "--output", str(ref))) == 0
     doc = json.loads(ref.read_text())
     good = doc["entries"][0]
-    for field, bad in (("source", 7), ("basis", True), ("complete", "no")):
+    for field, bad in (("source", 7), ("basis", True), ("complete", "no"), ("values", [0.0] * 4)):
         doc["entries"][0] = {**good, field: bad}
         ref.write_text(json.dumps(doc))
         out = tmp_path / "cmp.json"
@@ -227,6 +227,29 @@ def test_compare_refuses_a_badly_typed_reference_entry(tmp_path, capsys):
         ])
         assert code == 2 and not out.exists()
         assert "entries[0]: " in capsys.readouterr().err
+
+
+def test_compare_checks_the_features_of_each_document_against_the_space(tmp_path, capsys):
+    # A features list cut or reordered against --space, in the reference or
+    # in a candidate, would be compared value by value over another order.
+    ref = tmp_path / "ref.json"
+    assert main(adult_args("attribute", "--output", str(ref))) == 0
+    good = json.loads(ref.read_text())
+    changed = tmp_path / "changed.json"
+    for features in (good["features"][:3], good["features"][::-1]):
+        changed.write_text(json.dumps({**good, "features": features}))
+        for reference, candidate in ((changed, ref), (ref, changed)):
+            out = tmp_path / "cmp.json"
+            code = main([
+                "compare",
+                "--space", str(ADULT / "feature_space.json"),
+                "--reference", str(reference),
+                "--candidate", f"c={candidate}",
+                "--output", str(out),
+            ])
+            assert code == 5 and not out.exists()
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and "not the space's names in order" in err, err
 
 
 def test_compare_unknown_feature_exits_5(tmp_path):
@@ -482,9 +505,9 @@ def bound_counts(monkeypatch):
         counts["calls"] += 1
         return bounds(*args, **kwargs)
 
-    def counted_maximize(obj, box, keep, fail_below=None, strict=False):
-        counts["searches"] += fail_below is None
-        return maximize(obj, box, keep, fail_below, strict)
+    def counted_maximize(obj, box, keep, target=None):
+        counts["searches"] += target is None
+        return maximize(obj, box, keep, target)
 
     monkeypatch.setattr(cli, "score_bounds", counted_bounds)
     monkeypatch.setattr(oracle, "_maximize", counted_maximize)
@@ -593,6 +616,9 @@ _REPORT = {
     ("compare", {"ref.json": {"format": "attribution/1", "features": ["a", "b"]}},
      ["--reference", "ref.json"], "entries"),
     ("attribute", {"rows.csv": "a,b\n"}, ["--grid", "2x1", "--matrix-out", "m.txt"], "--grid"),
+    # a row with fewer or more cells than the header
+    ("explain", {"rows.csv": "a,b\n0.5,0\n0.5\n"}, [], "row 1 has 1 cells, the header has 2"),
+    ("explain", {"rows.csv": "a,b\n0.5,0,1\n"}, [], "row 0 has 3 cells, the header has 2"),
     # options that a canonical model or the chosen output would silently ignore
     ("explain", {}, ["--base-score", "100"], "base scores"),
     ("explain", {}, ["--classes", "no,yes"], "class names"),
@@ -623,7 +649,7 @@ _REPORT = {
     "report-mode-is-number", "report-mode-unknown", "report-complete-is-string",
     "report-complete-is-number", "report-calls-is-string", "report-calls-is-negative",
     "report-calls-is-bool",
-    "reference-without-entries", "grid-over-no-rows",
+    "reference-without-entries", "grid-over-no-rows", "short-csv-row", "long-csv-row",
     "canonical-model-with-base-score", "canonical-model-with-classes",
     "checkpoints-with-wffa-only", "matrix-out-without-grid",
     "dump-split-is-bool", "dump-child-id-is-bool", "dump-child-id-is-float",

@@ -246,7 +246,7 @@ def test_attribution_doc_roundtrip(adult_space):
         adult_space,
         [{"row": 0, "class_id": 0, "vector": vec, "convergence": [(1.0, None), (2.0, 0.5)]}],
     )
-    entries = formats.read_attribution_doc(text)
+    entries = formats.read_attribution_doc(text, adult_space)
     assert entries[0]["vector"] == vec
     assert entries[0]["row"] == 0
     raw = json.loads(text)
@@ -258,7 +258,7 @@ def test_attribution_doc_roundtrip(adult_space):
 
 @pytest.mark.parametrize("field, bad", [
     ("source", 7), ("source", None), ("basis", True), ("basis", -1), ("basis", 2.0),
-    ("complete", "no"), ("complete", 1),
+    ("complete", "no"), ("complete", 1), ("values", [0.0] * 4),
 ])
 def test_attribution_doc_refuses_a_badly_typed_provenance(adult_space, field, bad):
     vec = ffa([frozenset({0, 5})], 6, complete=True)
@@ -267,8 +267,17 @@ def test_attribution_doc_refuses_a_badly_typed_provenance(adult_space, field, ba
     ))
     doc["entries"][1][field] = bad
     with pytest.raises(ParseError, match=rf"^entries\[1\]: .*{field}") as exc:
-        formats.read_attribution_doc(json.dumps(doc))
+        formats.read_attribution_doc(json.dumps(doc), adult_space)
     assert exc.value.location == "entries[1]"
+
+
+@pytest.mark.parametrize("cut", [lambda names: names[:3], lambda names: names[::-1]], ids=["cut", "reordered"])
+def test_attribution_doc_features_must_be_the_space_names_in_order(adult_space, cut):
+    vec = ffa([frozenset({0, 5})], 6, complete=True)
+    doc = json.loads(formats.write_attribution_doc(adult_space, [{"row": 0, "class_id": 0, "vector": vec}]))
+    doc["features"] = cut(doc["features"])
+    with pytest.raises(DataMismatchError, match="not the space's names in order"):
+        formats.read_attribution_doc(json.dumps(doc), adult_space)
 
 
 def test_matrix_export_10x10():

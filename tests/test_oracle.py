@@ -41,7 +41,6 @@ from ffax.oracle import (
     ScoreBounds,
     brute_force_decide,
     decide_sufficiency,
-    decide_sufficiency_linear,
     find_counterexample,
     score_bounds,
 )
@@ -424,7 +423,7 @@ def test_linear_worst_case_endpoint():
     model = linear_unit_square()
     v = Instance((1.0, 1.0))
     assert evaluate(model, v).class_id == 1
-    result = decide_sufficiency_linear(model, v, 1, {0})
+    result = decide_sufficiency(model, v, 1, {0})
     assert not result.sufficient
     assert result.witness.values == (1.0, 0.0)
     assert evaluate(model, result.witness).class_id == 0
@@ -433,7 +432,7 @@ def test_linear_worst_case_endpoint():
 def test_linear_fully_fixed_sufficient():
     model = linear_unit_square()
     v = Instance((1.0, 1.0))
-    assert decide_sufficiency_linear(model, v, 1, {0, 1}).sufficient
+    assert decide_sufficiency(model, v, 1, {0, 1}).sufficient
 
 
 def test_linear_agrees_with_corner_enumeration(rng):
@@ -442,7 +441,7 @@ def test_linear_agrees_with_corner_enumeration(rng):
         v = random_instance(rng, space)
         c = evaluate(model, v).class_id
         fixed = {fid for fid in range(space.m) if rng.random() < 0.5}
-        result = decide_sufficiency_linear(model, v, c, fixed)
+        result = decide_sufficiency(model, v, c, fixed)
         assert result.sufficient == (not linear_corner_flip(model, v, c, fixed))
         if not result.sufficient:
             w = result.witness
@@ -841,6 +840,13 @@ def _reaches(x, fail_below, strict):
     return x > fail_below if strict else x >= fail_below
 
 
+def _target(fail_below, strict):
+    """``_maximize``'s target for a search that reaches ``fail_below`` (strictly if ``strict``)."""
+    if fail_below is None or not strict:
+        return fail_below
+    return math.nextafter(fail_below, math.inf)
+
+
 def _box_objectives(model, cells, box, pos, neg):
     """The objective at every cell representative of ``box``, under evaluate."""
     cell_lists = [[i for i in range(size) if dom >> i & 1] for dom, size in zip(box, cells.sizes)]
@@ -889,7 +895,7 @@ def test_incremental_search_matches_full_recompute(rng, monkeypatch):
             fail_below, strict, expected_pops,
         )
         monkeypatch.setattr(oracle, "heapq", _recording_heapq(pops))
-        got = oracle._maximize(compiled.objective(pos, neg), box, keep, fail_below, strict)
+        got = oracle._maximize(compiled.objective(pos, neg), box, keep, _target(fail_below, strict))
         monkeypatch.undo()
         assert _bit_exact(got) == _bit_exact(expected)
         assert [_as_masks(b) for b in pops] == [_as_masks(b) for b in expected_pops]
@@ -926,7 +932,7 @@ def test_threshold_search_is_exact_in_any_pop_order(rng, monkeypatch):
         best, _ = oracle._maximize(obj, box, keep)
         for heap in (heapq, _AnyOrderHeap(order)):
             monkeypatch.setattr(oracle, "heapq", heap)
-            floor, wbox = oracle._maximize(obj, box, keep, fail_below, strict)
+            floor, wbox = oracle._maximize(obj, box, keep, _target(fail_below, strict))
             monkeypatch.undo()
             assert (wbox is not None) == _reaches(best, fail_below, strict)
             if wbox is None:
@@ -1034,10 +1040,10 @@ def test_incremental_search_walks_fewer_trees_on_interop(monkeypatch, interop):
     monkeypatch.setitem(globals(), "_reference_tree_range", counting(_reference_tree_range))
     compiled = oracle._TreeOracle(model)
     obj, (box, keep) = compiled.objective(pos, neg), compiled.root(v, frozenset())
-    got = oracle._maximize(obj, box, keep, 0.0, strict)
+    got = oracle._maximize(obj, box, keep, _target(0.0, strict))
     incremental = walks[0]
     walks[0] = 0
-    assert oracle._maximize(obj, *compiled.root(v, frozenset()), 0.0, strict) == got
+    assert oracle._maximize(obj, *compiled.root(v, frozenset()), _target(0.0, strict)) == got
     assert walks[0] == 0
     expected = _reference_maximize(
         _reference_objective(model, pos, neg),
