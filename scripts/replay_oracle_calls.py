@@ -19,7 +19,9 @@ per-model memos from empty; that work is timed with the calls. Prints one
 JSON object: the oracle calls, how many found a flip, the bound calls, how
 many searches a replay makes (``oracle._maximize`` calls, counted in one
 more, untimed replay: ``searches`` with a threshold, where a one-sided trial
-may be answered with none, and ``bound_searches`` with none), and the time
+may be answered with none, and ``bound_searches`` with none), how many
+one-sided trials that replay answered with a flip and no search
+(``memo_answers``: an earlier trial's counterexample), and the time
 per call, oracle and bound calls together, from the minimum and the median
 of ``--repeats`` replays. The minimum, the replay least disturbed by the
 rest of the machine, is the steadier figure to compare. The recorded runs
@@ -113,19 +115,34 @@ def replay(calls):
 
 
 def count_searches(calls):
-    """The ``oracle._maximize`` calls of one untimed replay: with a threshold, and with none."""
-    maximize = oracle._maximize
-    counts = {"searches": 0, "bound_searches": 0}
+    """The ``oracle._maximize`` calls of one untimed replay, and the trials answered from memory.
+
+    ``searches`` counts those with a threshold and ``bound_searches`` those
+    with none; ``memo_answers`` counts the one-sided trials that return a
+    flip with no search, the counterexample of an earlier trial of the same
+    instance.
+    """
+    maximize, decide = oracle._maximize, getattr(oracle, DECIDE)
+    counts = {"searches": 0, "bound_searches": 0, "memo_answers": 0}
 
     def counting(obj, box, keep, target=None):
         counts["searches" if target is not None else "bound_searches"] += 1
         return maximize(obj, box, keep, target)
 
+    def watching(model, v, c, fixed, away=None):
+        before = counts["searches"]
+        answer = decide(model, v, c, fixed, away)
+        if away is not None and answer is not None and counts["searches"] == before:
+            counts["memo_answers"] += 1
+        return answer
+
     oracle._maximize = counting
+    setattr(oracle, DECIDE, watching)
     try:
         replay(calls)
     finally:
         oracle._maximize = maximize
+        setattr(oracle, DECIDE, decide)
     return counts
 
 

@@ -287,6 +287,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     f"candidate {name!r} covers {len(entries)} instances,"
                     f" reference covers {len(reference_entries)}"
                 )
+            for i, (entry, ref_entry) in enumerate(zip(entries, reference_entries)):
+                got = (entry["row"], entry["class_id"])
+                want = (ref_entry["row"], ref_entry["class_id"])
+                if got != want:
+                    raise DataMismatchError(
+                        f"candidate {name!r} entry {i} is (row, class_id) {got},"
+                        f" the reference's is {want}"
+                    )
             candidate_lists.append((name, [e["vector"] for e in entries]))
         else:
             vec = formats.read_external_attribution(_read(path), space)

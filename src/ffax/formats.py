@@ -607,7 +607,8 @@ def read_attribution_doc(text: str, space: FeatureSpace) -> list[dict]:
     """The entries of an attribution document over ``space``: row, class_id and vector.
 
     Its ``features`` must be ``space``'s names in order (``DataMismatchError``
-    otherwise), and each entry needs one value per feature.
+    otherwise), and each entry needs one value per feature and an integer
+    ``row`` and ``class_id``, which ``ffax compare`` pairs entries by.
     """
     doc = _load(text, "attribution document", "attribution/1")
     for key in ("features", "entries"):
@@ -628,16 +629,17 @@ def read_attribution_doc(text: str, space: FeatureSpace) -> list[dict]:
         complete = item.get("complete", False)
         if not isinstance(complete, bool):
             raise ParseError(f"'complete' must be true or false, got {complete!r}", where)
+        vector = AttributionVector(
+            values=tuple(_number(x, f"value {j}", where) for j, x in enumerate(values)),
+            source=item["source"],
+            basis=_int(item.get("basis", 0), "'basis'", where),
+            complete=complete,
+        )
         out.append(
             {
-                "row": item.get("row"),
-                "class_id": item.get("class_id"),
-                "vector": AttributionVector(
-                    values=tuple(_number(x, f"value {j}", where) for j, x in enumerate(values)),
-                    source=item["source"],
-                    basis=_int(item.get("basis", 0), "'basis'", where),
-                    complete=complete,
-                ),
+                "row": _int(item.get("row"), "'row'", where),
+                "class_id": _int(item.get("class_id"), "'class_id'", where),
+                "vector": vector,
             }
         )
     return out

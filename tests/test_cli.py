@@ -252,6 +252,31 @@ def test_compare_checks_the_features_of_each_document_against_the_space(tmp_path
             assert len(err.splitlines()) == 1 and "not the space's names in order" in err, err
 
 
+def test_compare_refuses_a_candidate_whose_entries_name_other_rows(tmp_path, capsys):
+    # Paired by position, the reversed document would be compared row 0
+    # against row 1 and exit 0 with a nonzero error.
+    ref = tmp_path / "ref.json"
+    assert main(interop_args("attribute", "--rows", "0,1", "--max-calls", "40",
+                             "--output", str(ref))) == 0
+    doc = json.loads(ref.read_text())
+    assert [(e["row"], e["class_id"]) for e in doc["entries"]] != [
+        (e["row"], e["class_id"]) for e in doc["entries"][::-1]
+    ]
+    reversed_doc = tmp_path / "reversed.json"
+    reversed_doc.write_text(json.dumps({**doc, "entries": doc["entries"][::-1]}))
+    out = tmp_path / "cmp.json"
+    code = main([
+        "compare",
+        "--space", str(INTEROP / "feature_space.json"),
+        "--reference", str(ref),
+        "--candidate", f"reversed={reversed_doc}",
+        "--output", str(out),
+    ])
+    assert code == 5 and not out.exists()
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "'reversed' entry 0" in err, err
+
+
 def test_compare_unknown_feature_exits_5(tmp_path):
     ref = tmp_path / "ref.json"
     assert main(adult_args("attribute", "--output", str(ref))) == 0

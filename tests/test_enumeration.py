@@ -325,6 +325,43 @@ def test_skipping_refuted_trials_moves_only_call_counts(
         assert _events(got)[: len(ref.events())] == _events(ref)
 
 
+def _synth_oracle_units(seed):
+    """The (model, point) pairs of the benchmark's ``synth-oracle`` workload for ``seed``."""
+    master = random.Random(seed)
+    units = []
+    for _ in range(720):
+        rng = random.Random(master.getrandbits(64))
+        space = random_space(rng, 24, kinds=("boolean",))
+        model = random_ensemble(rng, space, n_trees=16, depth=3)
+        units.append((model, random_instance(rng, space)))
+    return units
+
+
+def test_no_axp_trial_is_decided_by_an_earlier_counterexample(interop, monkeypatch):
+    # A one-sided trial's counterexample may be any flip that moves its
+    # dropped feature, an earlier trial's among them, and the reports stay
+    # the same only because ``_holds`` never lets a counterexample decide an
+    # AXp trial: it moves a feature that every later trial of the extraction
+    # fixes. Checked on interop rows 4, 7 and 8 cxp-first and on the
+    # synth-oracle models of seed 3 under their 30-call budget.
+    runs = [(interop[0], interop[1][row], None) for row in (4, 7, 8)]
+    runs += [(model, v, Budget(max_oracle_calls=30)) for model, v in _synth_oracle_units(3)]
+    holds = enumeration._holds
+    offered = decided = 0
+
+    def watching(kind, model, v, c, features, clock, moved=None, away=None):
+        nonlocal offered, decided
+        if kind == AXP and moved is not None:
+            offered += 1
+            decided += moved.isdisjoint(features)
+        return holds(kind, model, v, c, features, clock, moved, away)
+
+    monkeypatch.setattr(enumeration, "_holds", watching)
+    for model, v, budget in runs:
+        enumerate_explanations(model, v, budget=budget, mode="cxp-first")
+    assert offered > 1000 and decided == 0, (offered, decided)
+
+
 # --- minimal_hs ------------------------------------------------------------------
 
 

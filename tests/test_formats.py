@@ -259,6 +259,7 @@ def test_attribution_doc_roundtrip(adult_space):
 @pytest.mark.parametrize("field, bad", [
     ("source", 7), ("source", None), ("basis", True), ("basis", -1), ("basis", 2.0),
     ("complete", "no"), ("complete", 1), ("values", [0.0] * 4),
+    ("row", True), ("row", None), ("class_id", False), ("class_id", "0"),
 ])
 def test_attribution_doc_refuses_a_badly_typed_provenance(adult_space, field, bad):
     vec = ffa([frozenset({0, 5})], 6, complete=True)

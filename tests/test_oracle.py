@@ -1200,7 +1200,7 @@ def test_root_masks_match_the_tree_walk(rng, monkeypatch):
         reordered += sum(obj.trees != order[:len(obj.trees)] for obj in objectives)
         for _ in range(3):
             v = random_instance(rng, space)
-            cells, at, away_masks = compiled.instance_masks(v)
+            cells, at, away_masks, _ = compiled.instance_masks(v)
             for fid, size in enumerate(sizes):
                 if size == 1:
                     assert at[fid] == away_masks[fid] == 0
@@ -1537,9 +1537,11 @@ def test_one_sided_trials_pop_fewer_boxes_on_interop(monkeypatch, interop):
     # searched twice on a fresh oracle: on the slab, and on the whole box of
     # the trial. The verdicts agree and the slab pops fewer boxes. The counts
     # were (6329, 8048) before the flip search popped by bound plus floor and
-    # accepted a child whose floor flips as soon as it was made, and
+    # accepted a child whose floor flips as soon as it was made,
     # (5607, 7313) before a trial with no reachable test on its dropped
-    # feature was answered without a search.
+    # feature was answered without a search, and (4385, 7313), with 1135
+    # trials unsearched, before a trial was answered by the counterexample of
+    # an earlier one of the row (219 trials here).
     model, v = interop[0], interop[1][7]
     trials = []
     unchecked = enumeration._find_counterexample_unchecked
@@ -1564,16 +1566,68 @@ def test_one_sided_trials_pop_fewer_boxes_on_interop(monkeypatch, interop):
         monkeypatch.setattr(oracle, "heapq", _recording_heapq(popped))
         monkeypatch.setattr(oracle, "_maximize", counting)
         compiled = oracle._TreeOracle(model)
-        verdicts[one_sided], unsearched[one_sided] = [], 0
+        verdicts[one_sided], unsearched[one_sided] = [], [0, 0]
         for c, fixed, away in trials:
             before = len(searches)
-            verdicts[one_sided].append(
-                compiled.find_class_change(v, c, fixed, away if one_sided else None) is None
-            )
-            unsearched[one_sided] += len(searches) == before
+            found = compiled.find_class_change(v, c, fixed, away if one_sided else None)
+            verdicts[one_sided].append(found is None)
+            if len(searches) == before:
+                unsearched[one_sided][found is not None] += 1
         pops[one_sided] = len(popped)
         monkeypatch.undo()
     assert len(trials) == 2294
     assert verdicts[True] == verdicts[False]
-    assert (pops[True], pops[False]) == (4385, 7313)
-    assert (unsearched[True], unsearched[False]) == (1135, 0)
+    assert (pops[True], pops[False]) == (2799, 7313)
+    # (no flip, a flip from an earlier trial) answered without a search
+    assert (unsearched[True], unsearched[False]) == ([1135, 219], [0, 0])
+
+
+def test_one_sided_trials_answered_by_an_earlier_counterexample_are_flips(rng, monkeypatch):
+    # Random sequences of one-sided trials of one instance on one oracle. A
+    # trial that finds a flip without a search takes the counterexample of an
+    # earlier trial: it must flip, keep v's value on every fixed feature and
+    # take the dropped feature off v's cell, and an oracle that has seen no
+    # earlier trial must find a flip too. Every verdict is the grid's.
+    searches = []
+    maximize = oracle._maximize
+
+    def counting(*args, **kwargs):
+        searches.append(None)
+        return maximize(*args, **kwargs)
+
+    answered = searched = 0
+    for n in range(80):
+        space = random_space(rng, rng.randint(2, 6))
+        model = random_ensemble(
+            rng, space, n_trees=rng.randint(1, 6), depth=rng.randint(1, 3), k=3 if n % 3 else 2,
+        )
+        compiled = oracle._TreeOracle(model)
+        cells = compiled.cells
+        v = random_instance(rng, space)
+        c = evaluate(model, v).class_id
+        for _ in range(15):
+            sufficient = {fid for fid in range(space.m) if rng.random() < 0.4}
+            for fid in rng.sample(range(space.m), space.m):
+                if brute_force_decide(model, v, c, sufficient).sufficient:
+                    break
+                sufficient.add(fid)
+            if not sufficient:
+                continue
+            away = rng.choice(sorted(sufficient))
+            fixed = frozenset(sufficient - {away})
+            searches.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_maximize", counting)
+                x = compiled.find_class_change(v, c, fixed, away)
+            assert (x is None) == brute_force_decide(model, v, c, fixed).sufficient
+            if x is None:
+                continue
+            if searches:
+                searched += 1
+                continue
+            answered += 1
+            assert evaluate(model, x).class_id != c
+            assert all(x.values[fid] == v.values[fid] for fid in fixed)
+            assert cells.cell_of(away, x.values[away]) != cells.cell_of(away, v.values[away])
+            assert oracle._TreeOracle(model).find_class_change(v, c, fixed, away) is not None
+    assert answered > 100 and searched > 50, (answered, searched)
