@@ -19,11 +19,14 @@ per-model memos from empty; that work is timed with the calls. Prints one
 JSON object: the oracle calls, how many found a flip, the bound calls, how
 many searches a replay makes (``oracle._maximize`` calls, counted in one
 more, untimed replay: ``searches`` with a threshold, where a one-sided trial
-may be answered with none, and ``bound_searches`` with none), how many
-one-sided trials that replay answered with a flip and no search
-(``memo_answers``: an earlier trial's counterexample), and the time
-per call, oracle and bound calls together, from the minimum and the median
-of ``--repeats`` replays. The minimum, the replay least disturbed by the
+may be answered with none, and ``bound_searches`` with none), how many calls
+the recorded enumerations' sessions answered from their counterexample
+stores (``store_answers``: the reports' call totals less the oracle calls
+recorded; null with ``--explain``, whose one-shot extractions keep no store
+and report no call total), and the time per call, oracle and bound calls
+together, from the minimum and the median of ``--repeats`` replays. The
+oracle keeps no counterexample, so a replayed call is answered as the
+recorded one was. The minimum, the replay least disturbed by the
 rest of the machine, is the steadier figure to compare. The recorded runs
 themselves are not timed. Examples:
 
@@ -70,14 +73,15 @@ def recording(module, name, calls):
 
 
 def record(runs, mode, budget=None):
-    """Every oracle call of the enumerations of ``runs``."""
-    calls = []
+    """Every oracle call of the enumerations of ``runs``, and the calls their reports count."""
+    calls, reported = [], 0
     with recording(enumeration, DECIDE, calls):
         for model, v in runs:
             report = enumerate_explanations(model, v, budget=budget, mode=mode)
             if budget is None and not report.complete:
                 raise SystemExit("an enumeration stopped before completion")
-    return calls
+            reported += report.oracle_calls
+    return calls, reported
 
 
 def record_explain(rows: str):
@@ -115,34 +119,23 @@ def replay(calls):
 
 
 def count_searches(calls):
-    """The ``oracle._maximize`` calls of one untimed replay, and the trials answered from memory.
+    """The ``oracle._maximize`` calls of one untimed replay.
 
     ``searches`` counts those with a threshold and ``bound_searches`` those
-    with none; ``memo_answers`` counts the one-sided trials that return a
-    flip with no search, the counterexample of an earlier trial of the same
-    instance.
+    with none.
     """
-    maximize, decide = oracle._maximize, getattr(oracle, DECIDE)
-    counts = {"searches": 0, "bound_searches": 0, "memo_answers": 0}
+    maximize = oracle._maximize
+    counts = {"searches": 0, "bound_searches": 0}
 
     def counting(obj, box, keep, target=None):
         counts["searches" if target is not None else "bound_searches"] += 1
         return maximize(obj, box, keep, target)
 
-    def watching(model, v, c, fixed, away=None):
-        before = counts["searches"]
-        answer = decide(model, v, c, fixed, away)
-        if away is not None and answer is not None and counts["searches"] == before:
-            counts["memo_answers"] += 1
-        return answer
-
     oracle._maximize = counting
-    setattr(oracle, DECIDE, watching)
     try:
         replay(calls)
     finally:
         oracle._maximize = maximize
-        setattr(oracle, DECIDE, decide)
     return counts
 
 
@@ -159,8 +152,10 @@ def main() -> int:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
 
+    reported = None
     if args.synth is not None:
-        calls = record(synth_units(args.synth), "cxp-first", Budget(max_oracle_calls=SYNTH_CALLS))
+        budget = Budget(max_oracle_calls=SYNTH_CALLS)
+        calls, reported = record(synth_units(args.synth), "cxp-first", budget)
         name, mode = f"synth-oracle seed {args.synth}", "cxp-first"
     elif args.explain is not None:
         calls = record_explain(args.explain)
@@ -168,7 +163,7 @@ def main() -> int:
     else:
         rows = [int(x) for x in args.interop.split(",")]
         model, points = load_interop()
-        calls = record([(model, points[row]) for row in rows], args.mode)
+        calls, reported = record([(model, points[row]) for row in rows], args.mode)
         name, mode = f"interop rows {rows}", args.mode
     decisions = [call for call in calls if call[0] == DECIDE]
     totals = [replay(calls) for _ in range(args.repeats)]
@@ -180,6 +175,7 @@ def main() -> int:
         "flips": sum(answer is not None for *_, answer in decisions),
         "one_sided": sum(call_args[4] is not None for _, call_args, _, _ in decisions),
         "bound_calls": len(calls) - len(decisions),
+        "store_answers": None if reported is None else reported - len(decisions),
         **count_searches(calls),
         "us_per_call_min": round(1e6 * min(totals) / len(calls), 1),
         "us_per_call_median": round(1e6 * statistics.median(totals) / len(calls), 1),

@@ -10,14 +10,21 @@ candidate with the exact oracle, and records either the candidate or a dual
 explanation extracted from its complement. The extraction uses the duality
 too: it skips, without an oracle call, every trial that misses a collected
 explanation of the other kind. When no candidate exists the report is
-complete and certified by duality. The collected families only grow during
-a run, so the loop keeps one hitting-set state (``_HittingSets``) that holds
-them as bitmasks and converts only the sets added since the last candidate.
-The engine is one exact search whose first solution is shrunk to a minimal
-hitting set. The state also saves the phase, the last candidate, and the
-search tries its ids first (as MARCO's map solver keeps its last model), so
-a candidate can differ from the one a stateless call returns: the sets a
-complete run finds do not change, their discovery order and the calls
+complete and certified by duality.
+
+One session (``_Session``) owns a run's state: the call clock, the collected
+explanations, the last counterexample and a store of the counterexamples of
+its one-sided AXp trials, which answers a trial of a later extraction with
+no search. A public one-shot extraction makes a session of its own that
+keeps no store, since no trial of one extraction can read it; the oracle
+keeps no counterexample at all. The collected families only grow during a
+run, so the session keeps one hitting-set state (``_HittingSets``) that
+holds them as bitmasks and converts only the sets added since the last
+candidate. The engine is one exact search whose first solution is shrunk to
+a minimal hitting set. The state also saves the phase, the last candidate,
+and the search tries its ids first (as MARCO's map solver keeps its last
+model), so a candidate can differ from the one a stateless call returns: the
+sets a complete run finds do not change, their discovery order and the calls
 between them can, and the search visits far fewer nodes.
 
 The loop is anytime: wall-clock, explanation-count, and oracle-call budgets
@@ -93,24 +100,6 @@ class Budget:
 
 class BudgetExceeded(Exception):
     """Internal control flow: the budget tripped between oracle calls."""
-
-
-class _Clock:
-    def __init__(self, budget: Budget):
-        self.budget = budget
-        self.t0 = time.perf_counter()
-        self.calls = 0
-
-    def elapsed(self) -> float:
-        return time.perf_counter() - self.t0
-
-    def before_call(self) -> None:
-        b = self.budget
-        if b.seconds is not None and self.elapsed() >= b.seconds:
-            raise BudgetExceeded
-        if b.max_oracle_calls is not None and self.calls >= b.max_oracle_calls:
-            raise BudgetExceeded
-        self.calls += 1
 
 
 @dataclass(frozen=True)
@@ -313,19 +302,10 @@ def extract_axp(
     c: int,
     seed: Iterable[int],
     order: Sequence[int] | None = None,
-    _clock: _Clock | None = None,
-    _verify_seed: bool = True,
-    _moved: frozenset[int] | None = None,
-    _targets: list[list[int]] | None = None,
+    _session: "_Session | None" = None,
 ) -> frozenset[int]:
-    """Deletion-based shrink of a sufficient ``seed`` to an AXp; see ``_extract``.
-
-    With ``_verify_seed=False`` the seed must force ``c``, unchecked: each
-    trial searches only the points that move its dropped feature off ``v``'s
-    cell, which decides the trial exactly only when the current set forces
-    ``c``.
-    """
-    return _extract(AXP, model, v, c, seed, order, _clock, _verify_seed, _moved, _targets)
+    """Deletion-based shrink of a sufficient ``seed`` to an AXp; see ``_extract``."""
+    return _extract(AXP, model, v, c, seed, order, _session)
 
 
 def extract_cxp(
@@ -334,18 +314,10 @@ def extract_cxp(
     c: int,
     seed: Iterable[int],
     order: Sequence[int] | None = None,
-    _clock: _Clock | None = None,
-    _verify_seed: bool = True,
-    _moved: frozenset[int] | None = None,
-    _targets: list[list[int]] | None = None,
+    _session: "_Session | None" = None,
 ) -> frozenset[int]:
-    """Deletion-based shrink of a class-changing free ``seed`` to a CXp; see ``_extract``.
-
-    The seed check's counterexample, or one that differs from ``v`` only on
-    ``_moved`` (a subset of ``seed``), decides every trial that drops a
-    feature where it has ``v``'s value, so those trials cost no oracle call.
-    """
-    return _extract(CXP, model, v, c, seed, order, _clock, _verify_seed, _moved, _targets)
+    """Deletion-based shrink of a class-changing free ``seed`` to a CXp; see ``_extract``."""
+    return _extract(CXP, model, v, c, seed, order, _session)
 
 
 _SEED_ERRORS = {
@@ -354,18 +326,18 @@ _SEED_ERRORS = {
 }
 
 
-def _extract(kind, model, v, c, seed, order, clock, verify_seed, moved, targets) -> frozenset[int]:
+def _extract(kind, model, v, c, seed, order, session) -> frozenset[int]:
     """Deletion-based shrink of a ``seed`` that holds as ``kind`` to a minimal one.
 
-    The enumeration loop extracts its duals with it. Features are scanned in
-    ascending id order (or the explicit ``order``); each is dropped iff the
-    remainder still holds as ``kind`` (see ``_holds``). With ``verify_seed``
-    the inputs are checked first: ``v`` predicted ``c``, the seed's ids, the
-    order, and that the seed holds. The loop, which checked its inputs once,
-    passes False and nothing is re-checked.
+    Features are scanned in ascending id order (or the explicit ``order``);
+    each is dropped iff the remainder still holds as ``kind``
+    (``_Session.holds``). With no ``session`` this is a one-shot extraction:
+    ``v`` predicted ``c``, the order, the seed's ids and that the seed holds
+    are checked, in a session of its own that keeps no counterexample store.
+    The enumeration loop passes its session, whose model, instance, class and
+    order are used, and nothing is checked.
 
-    The last counterexample seen is kept, as the set ``moved`` of features
-    where it differs from ``v``, and decides a trial without an oracle call
+    The session's last counterexample decides a trial without an oracle call
     when it agrees with ``v`` on every feature the trial fixes; the oracle
     would have found a flip there too, so the decisions, hence the result,
     are those of a call per trial. In a CXp shrink the counterexample agrees
@@ -375,72 +347,140 @@ def _extract(kind, model, v, c, seed, order, clock, verify_seed, moved, targets)
     the current set would not force ``c``), and that feature stays fixed in
     every later trial.
 
-    ``targets`` (the loop's ``_HittingSets.blocks_with``: the masks of the
-    collected explanations of the other kind, listed under each of their
-    ids) refutes a trial without an oracle call when some target meets the
+    The session's collected explanations of the other kind (its
+    ``_HittingSets.blocks_with``: their masks, listed under each of their
+    ids) refute a trial without an oracle call when one of them meets the
     current set only at the dropped feature. The current set holds, so it
-    meets every target; an AXp meets every CXp and a CXp every AXp, so a
-    trial that misses a target fails, and a failing trial keeps ``current``.
-    A skipped CXp trial would have found no counterexample, so ``moved`` is
-    kept as well; the counterexample of a skipped AXp trial would never have
-    decided a later AXp trial. So the result is the same and only calls are
-    saved.
+    meets every one; an AXp meets every CXp and a CXp every AXp, so a trial
+    that misses one fails, and a failing trial keeps ``current``. A skipped
+    CXp trial would have found no counterexample, so the last one is kept as
+    well; the counterexample of a skipped AXp trial would never have decided
+    a later AXp trial. So the result is the same and only calls are saved.
 
-    An AXp trial is one-sided: it passes the dropped feature to the oracle
+    An AXp trial is one-sided: it passes the dropped feature to the session
     as ``away``. The current set forces ``c``, so no point that keeps the
-    dropped feature in ``v``'s cell flips, and the oracle searches only the
-    points that move it off that cell. The verdict, hence the result and the
-    call count, is that of a search of the whole box; the counterexample may
-    be another, and it still differs from ``v`` at the dropped feature.
+    dropped feature in ``v``'s cell flips, and only the points that move it
+    off that cell are asked for: first from the session's store of earlier
+    extractions' one-sided counterexamples, then from the oracle. The
+    verdict, hence the result and the call count, is that of a search of the
+    whole box; the counterexample may be another, and it still differs from
+    ``v`` at the dropped feature. So a one-sided counterexample never answers
+    a later trial of the extraction that found it, and a one-shot extraction
+    keeps none.
     """
     current = frozenset(seed)
-    if verify_seed:
-        _check_predicted(model, v, c)
+    if session is None:
+        session = _Session(model, v, c, order, Budget.unlimited())
         _check_features(model, current)
-        _check_order(order, model.space.m)
-        holds, moved = _holds(kind, model, v, c, current, clock, moved)
-        if not holds:
+        if not session.holds(kind, current, _mask(current)):
             raise ContractError(_SEED_ERRORS[kind])
     mask = _mask(current)
+    targets = session.hitting_sets.blocks_with
+    order = session.order
     for fid in sorted(current) if order is None else [f for f in order if f in current]:
         bit = 1 << fid
-        if targets is not None and any(t & mask == bit for t in targets[fid]):
+        if any(t & mask == bit for t in targets[fid]):
             continue  # the trial misses a collected target, which refutes it
         trial = current - {fid}
-        away = fid if kind == AXP else None
-        holds, moved = _holds(kind, model, v, c, trial, clock, moved, away)
-        if holds:
+        if session.holds(kind, trial, mask ^ bit, fid if kind == AXP else None):
             current = trial
             mask ^= bit
     return current
 
 
-def _holds(kind, model, v, c, features: frozenset[int], clock: _Clock | None, moved=None,
-           away=None):
-    """Does ``features`` hold as ``kind``? The answer and the last counterexample's ``moved``.
+# --- the enumeration session ------------------------------------------------------
 
-    An AXp set holds when fixing it forces ``c``, a CXp set when freeing it
-    (fixing its complement) admits a class change. A set holds as one kind
-    iff its complement fails as the other. ``moved`` holds the features where
-    an earlier counterexample differs from ``v``; if none of them is fixed,
-    that counterexample is one here too, and "a flip exists" needs no oracle call.
-    Otherwise one oracle call decides, and a counterexample it finds
-    replaces ``moved``. ``away``, the feature an AXp trial drops, goes to the
-    oracle, which then searches only the points that move it off ``v``'s
-    cell (see ``_extract``).
+
+class _Session:
+    """The state of one enumeration: its clock, its sets and its counterexamples.
+
+    ``_Session(model, v, c, order, budget)`` checks that ``v`` is predicted
+    ``c`` (None asks for the prediction) and the scan order. It counts the
+    oracle calls against ``budget`` (``before_call``) and keeps the
+    explanations found (``found`` in discovery order, ``sets`` per kind,
+    ``hitting_sets`` as masks), the last counterexample's moved mask
+    (``moved``, bit ``fid`` set where it differs from ``v``; None before
+    one) and ``store``, which files each one-sided counterexample as
+    ``(moved, x)`` under every feature of its moved mask. Only a later
+    extraction can read an entry (see ``_extract``), so the enumeration loop
+    sets the store up and a one-shot extraction's session keeps none (None).
+    A session holds Instances and ints, and no oracle.
     """
-    fixed = features if kind == AXP else model.space.all_features() - features
-    if moved is None or not moved.isdisjoint(fixed):
-        if clock is not None:
-            clock.before_call()
-        found = _find_counterexample_unchecked(model, v, c, fixed, away)
-        if found is None:
-            return kind == AXP, moved
-        moved = frozenset(fid for fid, x in enumerate(v.values) if found.values[fid] != x)
-    return kind == CXP, moved
 
+    def __init__(self, model: Model, v: Instance, c: int | None, order, budget: Budget):
+        self.c = _check_predicted(model, v, c)
+        _check_order(order, model.space.m)
+        self.model, self.v, self.order, self.budget = model, v, order, budget
+        self.t0 = time.perf_counter()
+        self.calls = 0
+        self.everything = model.space.all_features()
+        self.full = (1 << model.space.m) - 1
+        self.found: list[Explanation] = []
+        self.sets: dict[str, list[frozenset[int]]] = {AXP: [], CXP: []}
+        self.hitting_sets = _HittingSets(model.space.m)
+        self.moved: int | None = None
+        self.store: dict[int, list[tuple[int, Instance]]] | None = None
 
-# --- the enumeration loop -------------------------------------------------------
+    def elapsed(self) -> float:
+        return time.perf_counter() - self.t0
+
+    def before_call(self) -> None:
+        b = self.budget
+        if b.seconds is not None and self.elapsed() >= b.seconds:
+            raise BudgetExceeded
+        if b.max_oracle_calls is not None and self.calls >= b.max_oracle_calls:
+            raise BudgetExceeded
+        self.calls += 1
+
+    def record(self, kind: str, features: frozenset[int]) -> None:
+        index = len(self.found)
+        self.found.append(Explanation(kind, _mask(features), index, self.elapsed(), self.calls))
+        self.sets[kind].append(features)
+
+    def holds(self, kind: str, features: frozenset[int], mask: int, away: int | None = None) -> bool:
+        """Does ``features``, whose bitmask is ``mask``, hold as ``kind``?
+
+        An AXp set holds when fixing it forces ``c``, a CXp set when freeing
+        it (fixing its complement) admits a class change. A set holds as one
+        kind iff its complement fails as the other. If the last
+        counterexample moves no fixed feature, it is one here too, and "a
+        flip exists" needs no oracle call; else ``counterexample`` makes one.
+        """
+        fixed = mask if kind == AXP else self.full ^ mask
+        if self.moved is None or self.moved & fixed:
+            ids = features if kind == AXP else self.everything - features
+            if self.counterexample(ids, fixed, away) is None:
+                return kind == AXP
+        return kind == CXP
+
+    def counterexample(self, fixed, fixed_mask: int, away: int | None = None) -> Instance | None:
+        """One oracle call: a point like ``v`` on ``fixed`` whose class is not ``c``, or None.
+
+        ``fixed_mask`` is ``fixed`` as a bitmask. ``away``, the dropped
+        feature of an AXp trial, may be given only when ``fixed | {away}``
+        forces ``c``; every flip then moves ``away``. Such a one-sided trial
+        is looked up in the store first, after the call is counted, so call
+        totals do not depend on the store: a point filed under ``away`` whose
+        moved mask misses ``fixed`` agrees with ``v`` on ``fixed`` and flips,
+        so the first such one answers. Otherwise the oracle decides (see
+        ``_find_counterexample_unchecked``), and the one-sided
+        counterexample it finds is filed. A counterexample returned becomes
+        the last one.
+        """
+        self.before_call()
+        if away is not None and self.store:
+            for moved, x in self.store.get(away, ()):
+                if not moved & fixed_mask:
+                    self.moved = moved
+                    return x
+        x = _find_counterexample_unchecked(self.model, self.v, self.c, fixed, away)
+        if x is not None:
+            values = x.values
+            self.moved = moved = _mask(f for f, w in enumerate(self.v.values) if values[f] != w)
+            if away is not None and self.store is not None:
+                for fid in _ids(moved):
+                    self.store.setdefault(fid, []).append((moved, x))
+        return x
 
 
 def enumerate_explanations(
@@ -461,70 +501,44 @@ def enumerate_explanations(
     some collected dual, which refutes the target condition outright. A
     candidate that fails leaves a complement that holds as a dual, and a dual
     is extracted from it, starting from the failed test's counterexample.
+    One ``_Session`` holds the run's state, and the run's extractions share
+    its counterexample store.
     """
     if mode not in ("cxp-first", "axp-first"):
         raise ContractError(f"unknown mode {mode!r}")
-    c = _check_predicted(model, v, c)
-    _check_order(order, model.space.m)
-    budget = budget or Budget.unlimited()
-    clock = _Clock(budget)
-    m = model.space.m
-    all_features = frozenset(range(m))
+    session = _Session(model, v, c, order, budget or Budget.unlimited())
+    session.store = {}
+    budget, sets = session.budget, session.sets
     target, dual = (CXP, AXP) if mode == "cxp-first" else (AXP, CXP)
     # read at call time, not bound at import: a wrapper swapped onto the module is called
     extract_dual = extract_axp if dual == AXP else extract_cxp
-
-    axps: list[Explanation] = []
-    cxps: list[Explanation] = []
-    found = {AXP: axps, CXP: cxps}
-    sets: dict[str, list[frozenset[int]]] = {AXP: [], CXP: []}
-    hitting_sets = _HittingSets(m)
     complete = False
-    index = 0
-
-    def record(kind: str, features: frozenset[int]) -> None:
-        nonlocal index
-        entry = Explanation(
-            kind=kind,
-            mask=_mask(features),
-            discovery_index=index,
-            discovery_time=clock.elapsed(),
-            oracle_calls=clock.calls,
-        )
-        found[kind].append(entry)
-        sets[kind].append(features)
-        index += 1
-
     try:
-        while True:
-            if budget.max_axps is not None and len(axps) >= budget.max_axps:
-                break
-            if budget.max_cxps is not None and len(cxps) >= budget.max_cxps:
-                break
-            candidate = minimal_hs(sets[dual], sets[target], m, _state=hitting_sets)
+        while (budget.max_axps is None or len(sets[AXP]) < budget.max_axps) and (
+            budget.max_cxps is None or len(sets[CXP]) < budget.max_cxps
+        ):
+            candidate = minimal_hs(sets[dual], sets[target], model.space.m, _state=session.hitting_sets)
             if candidate is None:
                 complete = True
                 break
-            holds, moved = _holds(target, model, v, c, candidate, clock)
-            if holds:
-                record(target, candidate)
+            session.moved = None  # the candidate check reads no earlier counterexample
+            if session.holds(target, candidate, _mask(candidate)):
+                session.record(target, candidate)
             else:  # the complement holds as a dual, so it contains a new one
-                record(dual, extract_dual(
-                    model, v, c, all_features - candidate, order, _clock=clock,
-                    _verify_seed=False, _moved=moved, _targets=hitting_sets.blocks_with,
-                ))
+                seed = session.everything - candidate
+                session.record(dual, extract_dual(model, v, session.c, seed, order, _session=session))
     except BudgetExceeded:
-        complete = False
+        pass
 
     return EnumerationReport(
         instance=v,
-        class_id=c,
+        class_id=session.c,
         mode=mode,
         complete=complete,
-        axps=tuple(axps),
-        cxps=tuple(cxps),
-        oracle_calls=clock.calls,
-        wall_time=clock.elapsed(),
+        axps=tuple(e for e in session.found if e.kind == AXP),
+        cxps=tuple(e for e in session.found if e.kind == CXP),
+        oracle_calls=session.calls,
+        wall_time=session.elapsed(),
         budget=budget,
     )
 

@@ -233,13 +233,24 @@ def _membership_node(spec: FeatureSpec, fid, values, yes, no, where) -> Node:
             names.append(v)
         return MembershipSplit(fid=fid, values=frozenset(names), yes=yes, no=no)
     if spec.kind == BOOLEAN:
-        truthy = {bool(v) if not isinstance(v, str) else v.lower() == "true" for v in values}
+        if not values:
+            raise ParseError(f"empty membership set on {spec.name!r}", where)
+        truthy = {_truth(v, spec.name, where) for v in values}
         if truthy == {True}:
             return BooleanSplit(fid=fid, yes=yes, no=no)
         if truthy == {False}:
             return BooleanSplit(fid=fid, yes=no, no=yes)
         return yes  # both values listed: the test is vacuously true
     raise ParseError(f"membership test on ordinal feature {spec.name!r}", where)
+
+
+def _truth(value, name: str, where: str) -> bool:
+    """A boolean membership value: a JSON boolean, 0, 1, or "true"/"false" in any case."""
+    key = value.lower() if isinstance(value, str) else value
+    if not isinstance(value, (bool, int, str)) or key not in (True, False, "true", "false"):
+        raise ParseError(f"{name!r} membership value must be a boolean, 0, 1, "
+                         f"'true' or 'false', got {value!r}", where)
+    return key in (True, "true")
 
 
 def _strict_less_node(spec: FeatureSpec, fid, t: float, yes, no, where) -> Node:
@@ -304,7 +315,8 @@ def _parse_canonical_model(doc: dict, space: FeatureSpace) -> TreeEnsemble:
             raise ParseError("tree entry must be an object", where)
         root = _parse_canonical_node(item.get("root"), space, where)
         trees.append(Tree(class_id=_int(item.get("class"), "class tag", where), root=root))
-    base = doc.get("base_score") or []
+    base = doc.get("base_score")
+    base = [] if base is None else base
     if not isinstance(base, list):
         raise ParseError("must be a list of numbers", "base_score")
     return _build(

@@ -90,19 +90,11 @@ instance's cell does not meet would put that leaf in ``at[f] & keep``. So
 moving ``x``'s ``f`` back to the instance's cell keeps every leaf, and the
 point it makes lies in ``box(C)``, which does not flip. A feature with one
 cell has no compiled test, so its ``at`` mask is 0 and its (empty) slab is
-never searched. Next, the trial reuses an earlier trial's counterexample
-(model rotation, after Belov and Marques-Silva's MUS extraction): the oracle
-keeps every counterexample that a one-sided trial of the last instance found,
-with its moved mask, the features whose witness-box domain leaves the
-instance's cell, filed under each of them and the trial's class. A kept point
-filed under ``f`` whose moved mask misses ``C - {f}`` agrees with the
-instance on ``C - {f}``, moves ``f`` off its cell and flips, so it answers
-the trial with no search. Only a trial that still searches finds a new point
-to keep. The verdict is the trial's, and so is every call count: a "no flip"
-has no witness, and a witness takes ``f`` off the instance's cell. Which
-flip comes back decides nothing later: extraction keeps ``f`` fixed in every
-later trial, so no AXp trial is decided by the witness of an earlier one
-(``enumeration._extract``).
+never searched. The oracle keeps no counterexample: the enumeration
+session (``enumeration._Session``) keeps those of its one-sided trials and
+answers a later trial from them before it asks the oracle (model rotation,
+after Belov and Marques-Silva's MUS extraction), and a one-shot extraction
+keeps none.
 
 Class change is decided per the model's tie rule: for a single-score binary
 model with prediction 1 the query is min score < 0, with prediction 0 it is
@@ -379,8 +371,8 @@ class _TreeOracle:
     The test table, the leaf blocks and the full domains come from ``cells``.
     The oracle keeps the objectives, each tree's range memo, ``_shut`` (the
     ``_shut_out`` memo on ``(fid, dom)`` that the instance masks and the child
-    boxes of every objective share) and the last instance's masks, with the
-    counterexamples of its one-sided trials (Instances and ints only).
+    boxes of every objective share) and the last instance's masks. It keeps
+    no counterexample: the enumeration session does (``enumeration._Session``).
     """
 
     def __init__(self, model: TreeEnsemble):
@@ -398,15 +390,13 @@ class _TreeOracle:
         return self._objectives[key]
 
     def instance_masks(self, v: Instance) -> tuple:
-        """``(cells, at, away, flips)`` of v, memoized for the last v.
+        """``(cells, at, away)`` of v, memoized for the last v.
 
         ``cells[fid]`` is ``1 << cell`` of v's cell. ``at[fid]`` holds the
         leaves, in the model's leaf space, that some path test on ``fid``
         shuts out when ``fid``'s domain is v's cell, and ``away[fid]`` those
         shut out when it is every other cell (the one-sided slab): each is
-        ``_shut_out``'s tree masks, shifted to their blocks. ``flips`` starts
-        empty and keeps the counterexamples of v's one-sided trials: under
-        ``(c, fid)``, each ``(moved, x)`` whose ``moved`` mask holds ``fid``.
+        ``_shut_out``'s tree masks, shifted to their blocks.
         """
         last, masks = self._v_masks
         if last is not v:
@@ -419,7 +409,7 @@ class _TreeOracle:
                 for side, dom in ((at, cell), (away, compiled.full[fid] ^ cell)):
                     for t, leaves in _shut_out(compiled.tests, self._shut, fid, dom):
                         side[fid] |= leaves << compiled.blocks[t][0]
-            masks = (cells, at, away, {})
+            masks = (cells, at, away)
             self._v_masks = (v, masks)
         return masks
 
@@ -431,7 +421,7 @@ class _TreeOracle:
         out, and a full domain shuts out none: compilation drops every test
         that a full domain would decide.
         """
-        cells, at, _, _ = self.instance_masks(v)
+        cells, at, _ = self.instance_masks(v)
         box = list(self.cells.full)
         shut = 0
         for fid in fixed:
@@ -451,25 +441,17 @@ class _TreeOracle:
         flips that the search accepts, fixed or free (see the module
         docstring). With ``away`` set, a free feature such that ``fixed |
         {away}`` forces c, the answer is None with no search when no test on
-        ``away`` that v's cell fails is reachable under ``fixed``; else it is
-        the first counterexample of an earlier one-sided trial of v and c that
-        moves ``away`` and no feature of ``fixed``; else the box searched is
-        the slab where ``away`` leaves v's cell, and the counterexample found
-        is kept for later trials (see "one-sided trials").
+        ``away`` that v's cell fails is reachable under ``fixed``; else the box
+        searched is the slab where ``away`` leaves v's cell (see "one-sided
+        trials"). Nothing is kept: the enumeration session keeps the
+        counterexamples of its one-sided trials, and a one-shot extraction
+        keeps none.
         """
         box, keep = self.root(v, fixed)
         if away is not None:
-            cells, at, slab, flips = self.instance_masks(v)
+            cells, at, slab = self.instance_masks(v)
             if not at[away] & keep:  # fixing away shuts out no reachable leaf
                 return None
-            earlier = flips.get((c, away))
-            if earlier:
-                fixed_mask = 0
-                for fid in fixed:
-                    fixed_mask |= 1 << fid
-                for moved, x in earlier:
-                    if not moved & fixed_mask:
-                        return x
             keep &= ~slab[away]
             box = box[:away] + (box[away] & ~cells[away],) + box[away + 1:]
         if not self.model.single_score:  # ties go to the lower class id
@@ -482,34 +464,24 @@ class _TreeOracle:
         for pos, neg, target in queries:
             _, wbox = _maximize(self.objective(pos, neg), box, keep, target)
             if wbox is not None:
-                x, moved = self._witness_point(v, wbox)
-                if away is not None:
-                    entry, rest = (moved, x), moved
-                    while rest:
-                        low = rest & -rest
-                        flips.setdefault((c, low.bit_length() - 1), []).append(entry)
-                        rest ^= low
-                return x
+                return self._witness_point(v, wbox)
         return None
 
-    def _witness_point(self, v: Instance, wbox) -> tuple[Instance, int]:
-        """A point of the box ``wbox`` like v, and its moved mask.
+    def _witness_point(self, v: Instance, wbox) -> Instance:
+        """A point of the box ``wbox`` like v.
 
         It keeps v's exact value on every feature whose domain holds v's cell
-        and takes the representative of the domain's lowest cell elsewhere;
-        the moved mask has bit ``fid`` set for each feature of the second
-        kind. A domain the search left unsplit holds v's cell, a fixed
-        feature's cell or a free feature's full domain, unless it is a slab's.
+        and takes the representative of the domain's lowest cell elsewhere. A
+        domain the search left unsplit holds v's cell, a fixed feature's cell
+        or a free feature's full domain, unless it is a slab's.
         """
         masks = self.instance_masks(v)[0]
         reps = self.cells.reps
         values = list(v.values)
-        moved = 0
         for fid, dom in enumerate(wbox):
             if not dom & masks[fid]:
                 values[fid] = reps[fid][(dom & -dom).bit_length() - 1]
-                moved |= 1 << fid
-        return Instance(values=tuple(values)), moved
+        return Instance(values=tuple(values))
 
     def max_margin(self, v: Instance, fixed, plus: int | None, minus: int | None) -> float:
         """Attained max of ``score_plus - score_minus`` over the completions of v on ``fixed``.
@@ -633,9 +605,8 @@ def _find_counterexample_unchecked(
     ``away``, a free feature, may be given only when ``fixed | {away}`` forces
     ``c``: every flip then moves ``away`` out of v's cell, and a tree ensemble
     searches only there, or not at all when no test on ``away`` that v's cell
-    fails is still reachable under ``fixed`` or an earlier one-sided trial's
-    counterexample answers it (see "one-sided trials" in the module
-    docstring). A linear model ignores it.
+    fails is still reachable under ``fixed`` (see "one-sided trials" in the
+    module docstring). A linear model ignores it.
     """
     if isinstance(model, LinearModel):
         return _linear_counterexample(model, v, c, fixed)

@@ -1,7 +1,9 @@
 """Shared fixtures and the independent naive evaluators used as test oracles."""
 
+import gc
 import json
 import random
+import types
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import settings
 from ffax import formats
 from ffax.model import (
     BooleanSplit,
+    Instance,
     Leaf,
     LinearModel,
     MembershipSplit,
@@ -121,3 +124,18 @@ def linear_corner_flip(model: LinearModel, v, c, fixed) -> bool:
         if int(s >= 0.0) != c:
             return True
     return False
+
+
+def instances_held(root) -> list[Instance]:
+    """Every ``Instance`` that ``root`` reaches through its attributes and containers."""
+    seen, found, stack = set(), [], [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Instance):
+            found.append(obj)
+        else:
+            stack.extend(gc.get_referents(obj))
+    return found

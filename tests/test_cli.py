@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, instances_held
 import ffax
-from ffax import cli, formats, oracle
+from ffax import cli, enumeration, formats, oracle
 from ffax.cli import main
 from ffax.enumeration import extract_axp
 from ffax.model import evaluate
@@ -692,3 +692,28 @@ def test_malformed_document_exits_2(tmp_path, monkeypatch, capsys, command, docs
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and where in err, err
+
+
+def test_explain_files_and_looks_up_no_counterexample(monkeypatch):
+    # Each row's AXp is one one-shot extraction, and no one-sided
+    # counterexample can answer a later trial of the extraction that found
+    # it, so the extraction's session keeps no store, and the oracle keeps
+    # no counterexample after any row.
+    stores, held = [], []
+    counterexample = enumeration._Session.counterexample
+
+    def watching(session, fixed, fixed_mask, away=None):
+        if away is not None:
+            stores.append(session.store)
+        return counterexample(session, fixed, fixed_mask, away)
+
+    def extracting(model, v, c, seed, order=None):
+        axp = extract_axp(model, v, c, seed, order)
+        held.extend(x for x in instances_held(oracle._tree_oracle(model)) if x is not v)
+        return axp
+
+    monkeypatch.setattr(enumeration._Session, "counterexample", watching)
+    monkeypatch.setattr(cli, "extract_axp", extracting)
+    assert main(interop_args("explain", "--rows", "0-99", "--workers", "1")) == 0
+    assert len(stores) > 1000 and all(store is None for store in stores)
+    assert held == []

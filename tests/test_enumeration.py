@@ -17,8 +17,9 @@ from ffax.enumeration import (
     extract_axp,
     extract_cxp,
     minimal_hs,
-    _Clock,
     _HittingSets,
+    _Session,
+    _mask,
 )
 from ffax.errors import CapacityError, ContractError
 from ffax.model import (
@@ -103,14 +104,16 @@ def test_unverified_axp_seed_must_force_the_prediction():
     # Class 1 unless a holds and b does not. The seed {a} does not force
     # class 1 (b = False flips it). Unverified, the trial that drops a
     # searches only a = False, where nothing flips, and drops it: the result
-    # is then not sufficient. Verified, the seed is refused.
+    # is then not sufficient. Verified, the seed is refused; in a session, as
+    # the enumeration loop extracts, it is not checked.
     model = TreeEnsemble(boolean_space(2), ("f", "t"), (Tree(1, BooleanSplit(
         0, yes=BooleanSplit(1, yes=Leaf(1.0), no=Leaf(-1.0)), no=Leaf(1.0),
     )),))
     v = Instance((True, True))
     with pytest.raises(ContractError, match="seed"):
         extract_axp(model, v, 1, seed={0})
-    assert extract_axp(model, v, 1, seed={0}, _verify_seed=False) == frozenset()
+    session = _Session(model, v, 1, None, Budget.unlimited())
+    assert extract_axp(model, v, 1, seed={0}, _session=session) == frozenset()
     assert not decide_sufficiency(model, v, 1, ()).sufficient
 
 
@@ -125,8 +128,8 @@ def test_extract_axp_on_linear_models_ignores_the_slab(rng):
         c = evaluate(model, v).class_id
         order = rng.sample(range(m), m)
         expected = _reference_extract(AXP, model, v, c, range(m), order)
-        clock = _Clock(Budget.unlimited())
-        assert (extract_axp(model, v, c, range(m), order, _clock=clock), clock.calls) == expected
+        session = _checked_session(AXP, model, v, c, range(m), order)
+        assert (extract_axp(model, v, c, range(m), order, _session=session), session.calls) == expected
         for fid in range(m):
             fixed = model.space.all_features() - {fid}
             assert unchecked(model, v, c, fixed, fid) == unchecked(model, v, c, fixed)
@@ -190,6 +193,17 @@ def _reference_extract(kind, model, v, c, seed, order=None):
     return current, calls
 
 
+def _checked_session(kind, model, v, c, seed, order=None):
+    """A session that has checked, with one counted call, that ``seed`` holds as ``kind``.
+
+    Extracting in it makes the calls of a one-shot extraction, seed check included.
+    """
+    session = _Session(model, v, c, order, Budget.unlimited())
+    seed = frozenset(seed)
+    assert session.holds(kind, seed, _mask(seed))
+    return session
+
+
 @st.composite
 def extraction_problems(draw):
     """A tree ensemble (k = 2 or 3) or linear model, an instance, and a scan order."""
@@ -221,29 +235,29 @@ def test_extract_matches_call_per_trial_reference(problem):
             if reference is None:
                 continue  # the seed does not hold (no seed holds as a CXp if c is constant)
             expected, reference_calls = reference
-            clock = _Clock(Budget.unlimited())
-            assert extract(model, v, c, start, order, _clock=clock) == expected
+            assert extract(model, v, c, start, order) == expected
+            session = _checked_session(kind, model, v, c, start, order)
+            assert extract(model, v, c, start, order, _session=session) == expected
             if kind == AXP:
-                assert clock.calls == reference_calls
+                assert session.calls == reference_calls
                 continue
-            assert clock.calls <= reference_calls
+            assert session.calls <= reference_calls
             # as the enumeration loop calls it: no seed check, and the features
             # where the seed's counterexample differs from v handed in
             w = find_counterexample(model, v, c, start)
-            moved = frozenset(fid for fid, x in enumerate(v.values) if w.values[fid] != x)
-            clock = _Clock(Budget.unlimited())
-            got = extract(model, v, c, start, order, _clock=clock, _verify_seed=False, _moved=moved)
-            assert got == expected and clock.calls < reference_calls
+            session = _Session(model, v, c, order, Budget.unlimited())
+            session.moved = _mask(fid for fid, x in enumerate(v.values) if w.values[fid] != x)
+            got = extract(model, v, c, start, order, _session=session)
+            assert got == expected and session.calls < reference_calls
 
 
 # --- trials refuted by collected targets ----------------------------------------
 
 
-def _target_masks(targets, m):
-    """``blocks_with`` of a hitting-set state whose blocked family is ``targets``."""
-    state = _HittingSets(m)
-    state.absorb([], targets, m)
-    return state.blocks_with
+def _collect(session, targets):
+    """``session`` with ``targets`` collected as the explanations of the other kind."""
+    session.hitting_sets.absorb([], [frozenset(t) for t in targets], session.model.space.m)
+    return session
 
 
 def test_a_trial_that_misses_a_collected_target_costs_no_oracle_call():
@@ -253,12 +267,9 @@ def test_a_trial_that_misses_a_collected_target_costs_no_oracle_call():
     v = Instance((True, True))
     for model, extract in ((conjunction_model(), extract_axp), (disjunction_model(), extract_cxp)):
         for targets, calls in (([], 2), ([{0}], 1), ([{0, 1}], 2), ([{0}, {1}], 0)):
-            clock = _Clock(Budget.unlimited())
-            got = extract(
-                model, v, 1, {0, 1}, _clock=clock, _verify_seed=False,
-                _targets=_target_masks([frozenset(t) for t in targets], 2),
-            )
-            assert (got, clock.calls) == (frozenset({0, 1}), calls)
+            session = _collect(_Session(model, v, 1, None, Budget.unlimited()), targets)
+            got = extract(model, v, 1, {0, 1}, _session=session)
+            assert (got, session.calls) == (frozenset({0, 1}), calls)
 
 
 def test_extract_with_every_target_collected_calls_only_on_kept_drops(rng):
@@ -277,21 +288,26 @@ def test_extract_with_every_target_collected_calls_only_on_kept_drops(rng):
             if reference is None:
                 continue
             expected, _ = reference
-            clock = _Clock(Budget.unlimited())
-            got = extract(model, v, c, range(m), order, _clock=clock, _targets=_target_masks(targets, m))
+            session = _collect(_checked_session(kind, model, v, c, range(m), order), targets)
+            got = extract(model, v, c, range(m), order, _session=session)
             assert got == expected
             dropped = m - len(got)
             if kind == AXP:
-                assert clock.calls == 1 + dropped
+                assert session.calls == 1 + dropped
             else:  # the witness may decide some kept drops as well
-                assert clock.calls <= 1 + dropped
+                assert session.calls <= 1 + dropped
 
 
 def _without_targets(extract):
-    """``extract`` as it was before the loop handed it the collected targets."""
+    """``extract`` as it was before it read the session's collected targets."""
 
-    def reference(*args, _targets=None, **kwargs):
-        return extract(*args, **kwargs)
+    def reference(*args, _session, **kwargs):
+        collected = _session.hitting_sets
+        _session.hitting_sets = _HittingSets(collected.m)  # no target collected
+        try:
+            return extract(*args, _session=_session, **kwargs)
+        finally:
+            _session.hitting_sets = collected
 
     return reference
 
@@ -340,23 +356,23 @@ def _synth_oracle_units(seed):
 def test_no_axp_trial_is_decided_by_an_earlier_counterexample(interop, monkeypatch):
     # A one-sided trial's counterexample may be any flip that moves its
     # dropped feature, an earlier trial's among them, and the reports stay
-    # the same only because ``_holds`` never lets a counterexample decide an
-    # AXp trial: it moves a feature that every later trial of the extraction
-    # fixes. Checked on interop rows 4, 7 and 8 cxp-first and on the
-    # synth-oracle models of seed 3 under their 30-call budget.
+    # the same only because the session never lets a counterexample decide
+    # an AXp trial: it moves a feature that every later trial of the
+    # extraction fixes. Checked on interop rows 4, 7 and 8 cxp-first and on
+    # the synth-oracle models of seed 3 under their 30-call budget.
     runs = [(interop[0], interop[1][row], None) for row in (4, 7, 8)]
     runs += [(model, v, Budget(max_oracle_calls=30)) for model, v in _synth_oracle_units(3)]
-    holds = enumeration._holds
+    holds = _Session.holds
     offered = decided = 0
 
-    def watching(kind, model, v, c, features, clock, moved=None, away=None):
+    def watching(session, kind, features, mask, away=None):
         nonlocal offered, decided
-        if kind == AXP and moved is not None:
+        if kind == AXP and session.moved is not None:
             offered += 1
-            decided += moved.isdisjoint(features)
-        return holds(kind, model, v, c, features, clock, moved, away)
+            decided += not session.moved & mask
+        return holds(session, kind, features, mask, away)
 
-    monkeypatch.setattr(enumeration, "_holds", watching)
+    monkeypatch.setattr(_Session, "holds", watching)
     for model, v, budget in runs:
         enumerate_explanations(model, v, budget=budget, mode="cxp-first")
     assert offered > 1000 and decided == 0, (offered, decided)

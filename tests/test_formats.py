@@ -5,6 +5,7 @@ import pytest
 
 from conftest import FIXTURES
 from ffax import formats
+from ffax.cli import main
 from ffax.attribution import AttributionVector, ffa
 from ffax.enumeration import Budget, enumerate_explanations
 from ffax.errors import DataMismatchError, ParseError
@@ -103,6 +104,51 @@ def test_parse_dump_errors(adult_space):
         formats.parse_ensemble_dump(json.dumps(numeric_on_categorical), adult_space)
 
 
+def _boolean_membership_dump(values):
+    """A one-split dump on the boolean feature ``a``: yes scores 1.0, no -1.0."""
+    return json.dumps([{
+        "nodeid": 0, "split": "a", "categories": values, "yes": 1, "no": 2,
+        "children": [{"nodeid": 1, "leaf": 1.0}, {"nodeid": 2, "leaf": -1.0}],
+    }])
+
+
+BOOLEAN_SPACE = json.dumps({"features": [{"name": "a", "kind": "boolean"}]})
+
+
+@pytest.mark.parametrize("values, true_scores", [
+    ([True], 1.0), (["TRUE"], 1.0), ([1], 1.0), ([False], -1.0), (["false"], -1.0), ([0], -1.0),
+])
+def test_boolean_membership_values(values, true_scores):
+    space = formats.parse_feature_space(BOOLEAN_SPACE)
+    model = formats.parse_ensemble_dump(_boolean_membership_dump(values), space)
+    assert evaluate(model, Instance((True,))).scores[1] == true_scores
+    assert evaluate(model, Instance((False,))).scores[1] == -true_scores
+
+
+@pytest.mark.parametrize("values, message", [
+    ([], "empty membership set on 'a'"),
+    (["1"], "got '1'"),
+    (["yes"], "got 'yes'"),
+    ([1.0], "got 1.0"),
+    ([2], "got 2"),
+    ([None], "got None"),
+    ([True, "no"], "got 'no'"),
+])
+def test_boolean_membership_refuses_an_empty_or_unreadable_set(values, message, tmp_path):
+    # An empty list used to load as "both values listed" (a constant model),
+    # and any string but "true" as False.
+    space = formats.parse_feature_space(BOOLEAN_SPACE)
+    with pytest.raises(ParseError, match=f"tree 0: .*{message}"):
+        formats.parse_ensemble_dump(_boolean_membership_dump(values), space)
+    (tmp_path / "space.json").write_text(BOOLEAN_SPACE)
+    (tmp_path / "model.json").write_text(_boolean_membership_dump(values))
+    (tmp_path / "rows.csv").write_text("a\n1\n")
+    assert main([
+        "explain", "--model", str(tmp_path / "model.json"), "--space", str(tmp_path / "space.json"),
+        "--instances", str(tmp_path / "rows.csv"),
+    ]) == 2
+
+
 def test_fn_style_feature_names(adult_space):
     dump = [{
         "nodeid": 0, "split": "f5", "split_condition": 40.5, "yes": 1, "no": 2,
@@ -136,6 +182,27 @@ def test_canonical_model_errors(adult_space):
         formats.parse_ensemble_dump(canonical, adult_space, class_names=("a", "b"))
     with pytest.raises(ParseError, match="base scores are given for a model dump only"):
         formats.parse_ensemble_dump(canonical, adult_space, base_score=0.0)
+
+
+def _canonical_with_base_score(*value):
+    doc = {"classes": ["a", "b"], "trees": [{"class": 1, "root": {"leaf": 0.5}}]}
+    if value:
+        doc["base_score"] = value[0]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("value", [0, False, "", {}])
+def test_canonical_base_score_must_be_a_list(adult_space, value):
+    # 0, false, "" and {} used to load as "no base score" while 5 was refused
+    with pytest.raises(ParseError, match="base_score: must be a list of numbers"):
+        formats.parse_ensemble_dump(_canonical_with_base_score(value), adult_space)
+
+
+def test_canonical_base_score_absent_or_null_means_none(adult_space):
+    for text in (_canonical_with_base_score(), _canonical_with_base_score(None)):
+        assert formats.parse_ensemble_dump(text, adult_space).base_score == (0.0, 0.0)
+    model = formats.parse_ensemble_dump(_canonical_with_base_score([0.0, 0.25]), adult_space)
+    assert model.base_score == (0.0, 0.25)
 
 
 def test_multiclass_dump_round_robin(adult_space):

@@ -10,12 +10,13 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import linear_corner_flip, naive_class
-from ffax import enumeration, oracle
+from conftest import instances_held, linear_corner_flip, naive_class
+from ffax import oracle
 from ffax.cells import CellSystem, class_grid
 from ffax.enumeration import (
     Budget,
-    _Clock,
+    _Session,
+    _mask,
     brute_force_all_xps,
     enumerate_explanations,
     extract_axp,
@@ -1200,7 +1201,7 @@ def test_root_masks_match_the_tree_walk(rng, monkeypatch):
         reordered += sum(obj.trees != order[:len(obj.trees)] for obj in objectives)
         for _ in range(3):
             v = random_instance(rng, space)
-            cells, at, away_masks, _ = compiled.instance_masks(v)
+            cells, at, away_masks = compiled.instance_masks(v)
             for fid, size in enumerate(sizes):
                 if size == 1:
                     assert at[fid] == away_masks[fid] == 0
@@ -1379,6 +1380,16 @@ def test_a_replaced_oracle_is_freed_by_reference_counting():
         gc.enable()
 
 
+def test_after_an_enumeration_the_oracle_holds_no_counterexample(interop):
+    # The session keeps the run's counterexamples; the oracle keeps only
+    # memos and the last instance's masks, keyed on that instance.
+    model, v = interop[0], interop[1][7]
+    report = enumerate_explanations(model, v, budget=Budget.unlimited())
+    assert report.complete
+    held = instances_held(oracle._tree_oracle(model))
+    assert held and all(x is v for x in held)
+
+
 # --- the threshold search accepts and prunes by bounds ---------------------------
 
 
@@ -1521,9 +1532,10 @@ def test_one_sided_trial_on_a_feature_with_one_cell_searches_nothing(monkeypatch
     assert oracle._find_counterexample_unchecked(model, v, 1, frozenset({0}), 1) is None
     assert searches == []
     # the seed check and the trial that drops a search, the trial that drops x does not
-    clock = _Clock(Budget.unlimited())
-    assert extract_axp(model, v, 1, {0, 1}, _clock=clock) == frozenset({0})
-    assert (clock.calls, len(searches)) == (3, 2)
+    session = _Session(model, v, 1, None, Budget.unlimited())
+    assert session.holds("axp", frozenset({0, 1}), 0b11)
+    assert extract_axp(model, v, 1, {0, 1}, _session=session) == frozenset({0})
+    assert (session.calls, len(searches)) == (3, 2)
     # the calls of the enumeration are those of a search per trial
     report = enumerate_explanations(model, v, budget=Budget.unlimited())
     assert [(e.kind, e.features, e.oracle_calls) for e in report.events()] == [
@@ -1533,9 +1545,10 @@ def test_one_sided_trial_on_a_feature_with_one_cell_searches_nothing(monkeypatch
 
 
 def test_one_sided_trials_pop_fewer_boxes_on_interop(monkeypatch, interop):
-    # The AXp deletion trials of interop row 7's cxp-first enumeration, each
-    # searched twice on a fresh oracle: on the slab, and on the whole box of
-    # the trial. The verdicts agree and the slab pops fewer boxes. The counts
+    # The AXp deletion trials of interop row 7's cxp-first enumeration,
+    # replayed twice in a fresh session on a fresh oracle: one-sided, through
+    # the session's store and then the slab, and on the whole box of the
+    # trial. The verdicts agree and the slab pops fewer boxes. The counts
     # were (6329, 8048) before the flip search popped by bound plus floor and
     # accepted a child whose floor flips as soon as it was made,
     # (5607, 7313) before a trial with no reachable test on its dropped
@@ -1543,15 +1556,16 @@ def test_one_sided_trials_pop_fewer_boxes_on_interop(monkeypatch, interop):
     # trials unsearched, before a trial was answered by the counterexample of
     # an earlier one of the row (219 trials here).
     model, v = interop[0], interop[1][7]
+    c = evaluate(model, v).class_id
     trials = []
-    unchecked = enumeration._find_counterexample_unchecked
+    holds = _Session.holds
 
-    def recording(model, v, c, fixed, away=None):
+    def holding(session, kind, features, mask, away=None):
         if away is not None:
-            trials.append((c, fixed, away))
-        return unchecked(model, v, c, fixed, away)
+            trials.append((features, mask, away))
+        return holds(session, kind, features, mask, away)
 
-    monkeypatch.setattr(enumeration, "_find_counterexample_unchecked", recording)
+    monkeypatch.setattr(_Session, "holds", holding)
     enumerate_explanations(model, v, budget=Budget.unlimited())
     monkeypatch.undo()
     pops, verdicts, unsearched = {}, {}, {}
@@ -1565,11 +1579,13 @@ def test_one_sided_trials_pop_fewer_boxes_on_interop(monkeypatch, interop):
 
         monkeypatch.setattr(oracle, "heapq", _recording_heapq(popped))
         monkeypatch.setattr(oracle, "_maximize", counting)
-        compiled = oracle._TreeOracle(model)
+        monkeypatch.setattr(oracle, "_last_oracle", None)
+        session = _Session(model, v, c, None, Budget.unlimited())
+        session.store = {}
         verdicts[one_sided], unsearched[one_sided] = [], [0, 0]
-        for c, fixed, away in trials:
+        for fixed, mask, away in trials:
             before = len(searches)
-            found = compiled.find_class_change(v, c, fixed, away if one_sided else None)
+            found = session.counterexample(fixed, mask, away if one_sided else None)
             verdicts[one_sided].append(found is None)
             if len(searches) == before:
                 unsearched[one_sided][found is not None] += 1
@@ -1583,11 +1599,11 @@ def test_one_sided_trials_pop_fewer_boxes_on_interop(monkeypatch, interop):
 
 
 def test_one_sided_trials_answered_by_an_earlier_counterexample_are_flips(rng, monkeypatch):
-    # Random sequences of one-sided trials of one instance on one oracle. A
-    # trial that finds a flip without a search takes the counterexample of an
-    # earlier trial: it must flip, keep v's value on every fixed feature and
-    # take the dropped feature off v's cell, and an oracle that has seen no
-    # earlier trial must find a flip too. Every verdict is the grid's.
+    # Random sequences of one-sided trials of one instance in one session
+    # with a store. A trial that finds a flip without a search takes the
+    # counterexample of an earlier trial: it must flip, keep v's value on
+    # every fixed feature and take the dropped feature off v's cell, and the
+    # oracle must find a flip too. Every verdict is the grid's.
     searches = []
     maximize = oracle._maximize
 
@@ -1601,10 +1617,11 @@ def test_one_sided_trials_answered_by_an_earlier_counterexample_are_flips(rng, m
         model = random_ensemble(
             rng, space, n_trees=rng.randint(1, 6), depth=rng.randint(1, 3), k=3 if n % 3 else 2,
         )
-        compiled = oracle._TreeOracle(model)
-        cells = compiled.cells
+        cells = oracle._tree_oracle(model).cells
         v = random_instance(rng, space)
         c = evaluate(model, v).class_id
+        session = _Session(model, v, c, None, Budget.unlimited())
+        session.store = {}
         for _ in range(15):
             sufficient = {fid for fid in range(space.m) if rng.random() < 0.4}
             for fid in rng.sample(range(space.m), space.m):
@@ -1618,7 +1635,7 @@ def test_one_sided_trials_answered_by_an_earlier_counterexample_are_flips(rng, m
             searches.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(oracle, "_maximize", counting)
-                x = compiled.find_class_change(v, c, fixed, away)
+                x = session.counterexample(fixed, _mask(fixed), away)
             assert (x is None) == brute_force_decide(model, v, c, fixed).sufficient
             if x is None:
                 continue

@@ -26,7 +26,8 @@ def test_replay_script_runs_on_an_interop_row(script):
     assert out["calls"] > 0
     if script == "replay_oracle_calls.py":
         assert 0 < out["searches"] <= out["calls"]
-        assert 0 <= out["memo_answers"] <= out["calls"]
+        # row 7's sessions answer 219 one-sided trials from their stores
+        assert 0 < out["store_answers"] < out["calls"]
 
 
 def test_oracle_replay_of_explain_counts_one_bound_search_per_row():
