@@ -18,15 +18,16 @@ system at that model's first call, as a run does, and builds the oracle's
 per-model memos from empty; that work is timed with the calls. Prints one
 JSON object: the oracle calls, how many found a flip, the bound calls, how
 many searches a replay makes (``oracle._maximize`` calls, counted in one
-more, untimed replay: ``searches`` with a threshold, where a one-sided trial
-may be answered with none, and ``bound_searches`` with none), how many calls
-the recorded enumerations' sessions answered from their counterexample
-stores (``store_answers``: the reports' call totals less the oracle calls
-recorded; null with ``--explain``, whose one-shot extractions keep no store
-and report no call total), and the time per call, oracle and bound calls
-together, from the minimum and the median of ``--repeats`` replays. The
-oracle keeps no counterexample, so a replayed call is answered as the
-recorded one was. The minimum, the replay least disturbed by the
+more, untimed replay: ``searches`` with a threshold, ``one_sided_unsearched``
+the one-sided trials answered with none, and ``bound_searches`` the searches
+with no threshold), how many calls the recorded enumerations' sessions
+answered from their counterexample stores (``store_answers``: one-sided
+trials and cxp-first candidate checks, the reports' call totals less the
+oracle calls recorded; null with ``--explain``, whose one-shot extractions
+keep no store and report no call total), and the time per call, oracle and
+bound calls together, from the minimum and the median of ``--repeats``
+replays. The oracle keeps no counterexample, so a replayed call is answered
+as the recorded one was. The minimum, the replay least disturbed by the
 rest of the machine, is the steadier figure to compare. The recorded runs
 themselves are not timed. Examples:
 
@@ -122,20 +123,29 @@ def count_searches(calls):
     """The ``oracle._maximize`` calls of one untimed replay.
 
     ``searches`` counts those with a threshold and ``bound_searches`` those
-    with none.
+    with none; ``one_sided_unsearched`` counts the one-sided trials (an
+    ``away`` feature given) that made no search.
     """
-    maximize = oracle._maximize
-    counts = {"searches": 0, "bound_searches": 0}
+    maximize, decide = oracle._maximize, getattr(oracle, DECIDE)
+    counts = {"searches": 0, "one_sided_unsearched": 0, "bound_searches": 0}
 
     def counting(obj, box, keep, target=None):
         counts["searches" if target is not None else "bound_searches"] += 1
         return maximize(obj, box, keep, target)
 
+    def deciding(model, v, c, fixed, away=None):
+        before = counts["searches"]
+        answer = decide(model, v, c, fixed, away)
+        counts["one_sided_unsearched"] += away is not None and counts["searches"] == before
+        return answer
+
     oracle._maximize = counting
+    setattr(oracle, DECIDE, deciding)
     try:
         replay(calls)
     finally:
         oracle._maximize = maximize
+        setattr(oracle, DECIDE, decide)
     return counts
 
 

@@ -14,18 +14,25 @@ complete and certified by duality.
 
 One session (``_Session``) owns a run's state: the call clock, the collected
 explanations, the last counterexample and a store of the counterexamples of
-its one-sided AXp trials, which answers a trial of a later extraction with
-no search. A public one-shot extraction makes a session of its own that
-keeps no store, since no trial of one extraction can read it; the oracle
-keeps no counterexample at all. The collected families only grow during a
-run, so the session keeps one hitting-set state (``_HittingSets``) that
-holds them as bitmasks and converts only the sets added since the last
-candidate. The engine is one exact search whose first solution is shrunk to
-a minimal hitting set. The state also saves the phase, the last candidate,
-and the search tries its ids first (as MARCO's map solver keeps its last
-model), so a candidate can differ from the one a stateless call returns: the
-sets a complete run finds do not change, their discovery order and the calls
-between them can, and the search visits far fewer nodes.
+its one-sided AXp trials. The store answers with no search a one-sided trial
+of a later extraction, and a cxp-first candidate check whose candidate is
+exactly the set that a stored point moves; it is looked up by that set. A
+stored point flips, so the set it moves meets every AXp (an AXp it left
+fixed would force the prediction); a candidate is a minimal hitting set of
+the collected AXp's, so its proper subsets miss one. A stored point that
+moves only candidate features thus moves the whole candidate, and the
+look-up finds every stored answer. A public one-shot extraction makes a
+session of its own that keeps no store, since no trial of one extraction
+can read it; the oracle keeps no counterexample at all. The collected
+families only grow during a run, so the session keeps one hitting-set state
+(``_HittingSets``) that holds them as bitmasks and converts only the sets
+added since the last candidate. The engine is one exact search whose first
+solution is shrunk to a minimal hitting set. The state also saves the phase,
+the last candidate, and the search tries its ids first (as MARCO's map
+solver keeps its last model), so a candidate can differ from the one a
+stateless call returns: the sets a complete run finds do not change, their
+discovery order and the calls between them can, and the search visits far
+fewer nodes.
 
 The loop is anytime: wall-clock, explanation-count, and oracle-call budgets
 stop it between oracle calls, so every recorded explanation is fully
@@ -401,10 +408,12 @@ class _Session:
     ``hitting_sets`` as masks), the last counterexample's moved mask
     (``moved``, bit ``fid`` set where it differs from ``v``; None before
     one) and ``store``, which files each one-sided counterexample as
-    ``(moved, x)`` under every feature of its moved mask. Only a later
-    extraction can read an entry (see ``_extract``), so the enumeration loop
-    sets the store up and a one-shot extraction's session keeps none (None).
-    A session holds Instances and ints, and no oracle.
+    ``(moved, x)`` under every feature of its moved mask; ``by_moved`` maps
+    each moved mask to the first counterexample filed with it. Only a later
+    extraction or candidate check can read an entry (see ``_extract`` and
+    ``counterexample``), so the enumeration loop sets the store up and a
+    one-shot extraction's session keeps none (None, and ``by_moved`` stays
+    empty). A session holds Instances and ints, and no oracle.
     """
 
     def __init__(self, model: Model, v: Instance, c: int | None, order, budget: Budget):
@@ -420,6 +429,7 @@ class _Session:
         self.hitting_sets = _HittingSets(model.space.m)
         self.moved: int | None = None
         self.store: dict[int, list[tuple[int, Instance]]] | None = None
+        self.by_moved: dict[int, Instance] = {}
 
     def elapsed(self) -> float:
         return time.perf_counter() - self.t0
@@ -458,17 +468,29 @@ class _Session:
 
         ``fixed_mask`` is ``fixed`` as a bitmask. ``away``, the dropped
         feature of an AXp trial, may be given only when ``fixed | {away}``
-        forces ``c``; every flip then moves ``away``. Such a one-sided trial
-        is looked up in the store first, after the call is counted, so call
-        totals do not depend on the store: a point filed under ``away`` whose
-        moved mask misses ``fixed`` agrees with ``v`` on ``fixed`` and flips,
-        so the first such one answers. Otherwise the oracle decides (see
+        forces ``c``; every flip then moves ``away``. The store is looked up
+        first, after the call is counted, so call totals do not depend on
+        it. A one-sided trial takes the first point filed under ``away``
+        whose moved mask misses ``fixed``: it agrees with ``v`` on ``fixed``
+        and flips. A full trial (no ``away``) takes the point ``by_moved``
+        files under its free mask, which moves exactly the free features: in
+        a cxp-first candidate check, the only full trial of a run with a
+        store, a stored point that moves only candidate features moves the
+        whole candidate (see the module docstring), so no answer is missed.
+        The loop reads no candidate check's counterexample, so reports do not
+        depend on which point answers. Otherwise the oracle decides (see
         ``_find_counterexample_unchecked``), and the one-sided
         counterexample it finds is filed. A counterexample returned becomes
         the last one.
         """
         self.before_call()
-        if away is not None and self.store:
+        if away is None:
+            free = self.full ^ fixed_mask
+            x = self.by_moved.get(free)
+            if x is not None:
+                self.moved = free
+                return x
+        elif self.store:
             for moved, x in self.store.get(away, ()):
                 if not moved & fixed_mask:
                     self.moved = moved
@@ -480,6 +502,7 @@ class _Session:
             if away is not None and self.store is not None:
                 for fid in _ids(moved):
                     self.store.setdefault(fid, []).append((moved, x))
+                self.by_moved.setdefault(moved, x)
         return x
 
 
@@ -501,8 +524,8 @@ def enumerate_explanations(
     some collected dual, which refutes the target condition outright. A
     candidate that fails leaves a complement that holds as a dual, and a dual
     is extracted from it, starting from the failed test's counterexample.
-    One ``_Session`` holds the run's state, and the run's extractions share
-    its counterexample store.
+    One ``_Session`` holds the run's state, and the run's extractions and
+    candidate checks share its counterexample store.
     """
     if mode not in ("cxp-first", "axp-first"):
         raise ContractError(f"unknown mode {mode!r}")

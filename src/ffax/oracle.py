@@ -80,17 +80,30 @@ from a set ``C`` that forces the class, and asks whether fixing ``C - {f}``
 admits a flip. A point whose ``f`` lies in the instance's cell is a point of
 ``box(C)``, which has none, so the trial names ``f`` as ``away`` and the box
 it searches is the slab of ``box(C - {f})`` where ``f``'s domain is every
-cell but the instance's. Before any search, the trial answers "no
-flip" at once when ``at[f] & keep`` is empty, ``keep`` being the root mask
-of ``C - {f}`` before the slab's ``away`` mask is ANDed in: no leaf that
-fixing ``f`` would shut out is still reachable. That is exact. Take a point
-``x`` of the slab: its leaf in each tree is reachable under
-``box(C - {f})``, and a path test on ``f`` taken on the side that the
-instance's cell does not meet would put that leaf in ``at[f] & keep``. So
-moving ``x``'s ``f`` back to the instance's cell keeps every leaf, and the
-point it makes lies in ``box(C)``, which does not flip. A feature with one
-cell has no compiled test, so its ``at`` mask is 0 and its (empty) slab is
-never searched. The oracle keeps no counterexample: the enumeration
+cell but the instance's. Before it searches a flip query, the trial checks
+whether the query's slab is dominated. The twin of a slab point has ``f``
+moved back to the instance's cell; it lies in ``box(C)``, so it does not
+flip. Let ``keep`` be the root mask of ``C - {f}``, ``loose`` the slab's
+reachable leaves (``keep`` less the slab's ``away`` mask) and ``tight``
+those of ``box(C)`` (``keep`` less ``at[f]``). At a test on ``f`` the
+instance's cell takes one side and every other cell the other, since
+compilation drops a test that a full domain decides. A slab point and its
+twin take the same path in a tree until its first test on ``f``; if they
+part there, the point's leaf is one of the other side's leaves in ``loose``
+and the twin's one of the instance's side's leaves in ``tight``. The slab is
+dominated when, at every test on ``f`` of every tree of the query, the best
+of the first leaves is no better for the query than the worst of the
+second. Then each slab point scores, tree by tree, no better than its twin;
+IEEE addition and subtraction are monotone in each argument, so the
+per-class sums in tree-index order keep that order, as they keep the
+bound's, and the query has no flip and is not searched. The leaf extremes
+are read through the range memos: a range is a function of its mask, so a
+mask that is no box's is memoized as safely as a box's. The rule's first
+line is the one that came before it: when ``loose & ~tight`` is empty, as
+it is when ``at[f] & keep`` is, no leaf past a test on ``f`` that the cells
+take apart is reachable from the slab, and no query is searched. A feature
+with one cell has no compiled test, so its ``at`` mask is 0 and its (empty)
+slab is never searched. The oracle keeps no counterexample: the enumeration
 session (``enumeration._Session``) keeps those of its one-sided trials and
 answers a later trial from them before it asks the oracle (model rotation,
 after Belov and Marques-Silva's MUS extraction), and a one-shot extraction
@@ -231,11 +244,14 @@ _ABOVE_ZERO = math.nextafter(0.0, math.inf)  # x > 0 exactly when x >= this
 def _leaf_range(node, reach: int):
     """(min leaf, max leaf, first splits) over the leaves in the mask ``reach``.
 
-    ``reach`` must be the reachable leaves of some box. A test is ambiguous
-    under that box exactly when both of its subtrees hold reachable leaves.
-    The map sends each feature with a reachable ambiguous test to the first
-    such node in preorder, yes branch before no. Decided tests are walked in
-    a loop; only an ambiguous one recurses, into both branches.
+    ``reach`` must hold a leaf. The walk enters only subtrees that hold a
+    leaf of ``reach``, so the extremes are right for any such set; the
+    dominance rule of one-sided trials reads them for sets that are no box's.
+    When ``reach`` is the reachable leaves of a box, a test is ambiguous under
+    the box exactly when both of its subtrees hold reachable leaves, and the
+    map sends each feature with a reachable ambiguous test to the first such
+    node in preorder, yes branch before no. Decided tests are walked in a
+    loop; only an ambiguous one recurses, into both branches.
     """
     while node[0] == "test":
         _, fid, _, yes, no, yes_leaves, no_leaves = node
@@ -440,20 +456,18 @@ class _TreeOracle:
         whose cell lies in the domain of the witness box, the box whose floor
         flips that the search accepts, fixed or free (see the module
         docstring). With ``away`` set, a free feature such that ``fixed |
-        {away}`` forces c, the answer is None with no search when no test on
-        ``away`` that v's cell fails is reachable under ``fixed``; else the box
-        searched is the slab where ``away`` leaves v's cell (see "one-sided
-        trials"). Nothing is kept: the enumeration session keeps the
-        counterexamples of its one-sided trials, and a one-shot extraction
-        keeps none.
+        {away}`` forces c, the box searched is the slab where ``away`` leaves
+        v's cell, and a query whose slab is dominated (``_dominated``) is not
+        searched (see "one-sided trials"). Nothing is kept: the enumeration
+        session keeps the counterexamples of its one-sided trials, and a
+        one-shot extraction keeps none.
         """
         box, keep = self.root(v, fixed)
         if away is not None:
             cells, at, slab = self.instance_masks(v)
-            if not at[away] & keep:  # fixing away shuts out no reachable leaf
-                return None
+            cell, tight = cells[away], keep & ~at[away]  # tight: the forcing box's leaves
             keep &= ~slab[away]
-            box = box[:away] + (box[away] & ~cells[away],) + box[away + 1:]
+            box = box[:away] + (box[away] & ~cell,) + box[away + 1:]
         if not self.model.single_score:  # ties go to the lower class id
             queries = [(rival, c, _ABOVE_ZERO if rival > c else 0.0)
                        for rival in range(self.model.k) if rival != c]
@@ -462,10 +476,46 @@ class _TreeOracle:
         else:  # flip needs score >= 0
             queries = [(1, None, 0.0)]
         for pos, neg, target in queries:
-            _, wbox = _maximize(self.objective(pos, neg), box, keep, target)
+            obj = self.objective(pos, neg)
+            if away is not None and self._dominated(obj, away, cell, keep, tight):
+                continue
+            _, wbox = _maximize(obj, box, keep, target)
             if wbox is not None:
                 return self._witness_point(v, wbox)
         return None
+
+    def _dominated(self, obj: _Objective, away: int, cell: int, loose: int, tight: int) -> bool:
+        """Does every slab point score, tree by tree, no better for ``obj`` than its twin?
+
+        ``cell`` is v's cell of ``away`` as a bitmask, ``loose`` the slab's
+        reachable leaves and ``tight`` the forcing box's; the twin of a slab
+        point has ``away`` back in v's cell (see "one-sided trials" in the
+        module docstring).
+        """
+        apart = loose & ~tight  # the slab's leaves that fixing away shuts out
+        if not apart:  # no test on away tells a slab point from its twin
+            return True
+        blocks, slots, n_pos = self.cells.blocks, obj.slots, obj.n_pos
+        for t, tree_tests in self.cells.tests[away]:
+            off, leaves = blocks[t]
+            if not apart >> off & leaves:
+                continue
+            i = slots[t]
+            if i is None:
+                continue
+            moved, kept, memo = loose >> off & leaves, tight >> off & leaves, obj.memos[i]
+            for mask, yes_leaves, no_leaves in tree_tests:
+                if cell & mask:  # v's cell goes yes: a slab point that parts goes no
+                    there, here = moved & no_leaves, kept & yes_leaves
+                else:
+                    there, here = moved & yes_leaves, kept & no_leaves
+                if there and here:
+                    # a memo hit, the common case, makes no call
+                    lo_there, hi_there = (memo.get(there) or _range(obj, i, there))[:2]
+                    lo_here, hi_here = (memo.get(here) or _range(obj, i, here))[:2]
+                    if hi_there > lo_here if i < n_pos else lo_there < hi_here:
+                        return False
+        return True
 
     def _witness_point(self, v: Instance, wbox) -> Instance:
         """A point of the box ``wbox`` like v.
@@ -604,8 +654,8 @@ def _find_counterexample_unchecked(
 
     ``away``, a free feature, may be given only when ``fixed | {away}`` forces
     ``c``: every flip then moves ``away`` out of v's cell, and a tree ensemble
-    searches only there, or not at all when no test on ``away`` that v's cell
-    fails is still reachable under ``fixed`` (see "one-sided trials" in the
+    searches only there, and not for a flip query whose every point there
+    scores no better than its twin at v's cell (see "one-sided trials" in the
     module docstring). A linear model ignores it.
     """
     if isinstance(model, LinearModel):

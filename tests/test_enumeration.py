@@ -378,6 +378,88 @@ def test_no_axp_trial_is_decided_by_an_earlier_counterexample(interop, monkeypat
     assert offered > 1000 and decided == 0, (offered, decided)
 
 
+def test_a_full_trial_whose_free_set_a_stored_counterexample_moves_is_answered_from_the_store(
+    monkeypatch,
+):
+    # The one-sided trial that drops a from {a, b} finds x = (False, True),
+    # which moves a alone; a later full trial that frees exactly a takes x
+    # from the store without an oracle call, after counting its call. A full
+    # trial that frees more than x moves asks the oracle.
+    space = boolean_space(2)
+    model = TreeEnsemble(space, ("n", "y"), (
+        Tree(1, BooleanSplit(0, yes=Leaf(1.0), no=Leaf(-1.0))),
+        Tree(1, BooleanSplit(1, yes=Leaf(0.5), no=Leaf(-0.5))),
+    ))
+    v = Instance((True, True))
+    asked = []
+    decide = enumeration._find_counterexample_unchecked
+
+    def asking(*args):
+        asked.append(args[3])
+        return decide(*args)
+
+    monkeypatch.setattr(enumeration, "_find_counterexample_unchecked", asking)
+    session = _Session(model, v, 1, None, Budget(max_oracle_calls=3))
+    session.store = {}
+    x = session.counterexample(frozenset({1}), 0b10, 0)
+    assert x == Instance((False, True)) and session.by_moved == {0b01: x}
+    session.moved = None
+    assert session.counterexample(frozenset({1}), 0b10) is x
+    assert (session.calls, session.moved, len(asked)) == (2, 0b01, 1)
+    assert session.counterexample(frozenset(), 0) is not None
+    assert (session.calls, len(asked)) == (3, 2)
+    with pytest.raises(enumeration.BudgetExceeded):  # the call is counted before the look-up
+        session.counterexample(frozenset({1}), 0b10)
+    # a one-shot extraction's session files nothing, so it answers nothing
+    one_shot = _Session(model, v, 1, None, Budget.unlimited())
+    assert one_shot.counterexample(frozenset({1}), 0b10, 0) is not None
+    assert one_shot.store is None and one_shot.by_moved == {}
+
+
+@pytest.mark.parametrize("mode, answered", [("cxp-first", [2, 158, 105]), ("axp-first", [0, 0, 0])])
+def test_store_answers_candidate_checks_of_a_complete_run(
+    adult_model, adult_instance, interop, monkeypatch, mode, answered
+):
+    # A cxp-first candidate check is a full trial that frees the candidate, a
+    # minimal hitting set of the collected AXp's that holds no collected CXp.
+    # A stored one-sided counterexample that moves only candidate features
+    # moves exactly the candidate, so the session looks its free mask up in
+    # the store before it asks the oracle. Each answer flips and keeps v's
+    # value outside the candidate; the pinned reports do not move, since the
+    # loop reads no candidate check's counterexample. An axp-first run files
+    # no one-sided counterexample, so it answers none this way. Counted on the
+    # adult instance and interop rows 4 and 7, run to completion.
+    runs = [(adult_model, adult_instance)] + [(interop[0], interop[1][row]) for row in (4, 7)]
+    counterexample = _Session.counterexample
+    decide = enumeration._find_counterexample_unchecked
+    asked, answers = [], []
+
+    def asking(*args):
+        asked.append(None)
+        return decide(*args)
+
+    def looking_up(session, fixed, fixed_mask, away=None):
+        before = len(asked)
+        x = counterexample(session, fixed, fixed_mask, away)
+        if away is None and len(asked) == before:
+            answers.append((session.c, session.full ^ fixed_mask, session.moved, x))
+        return x
+
+    monkeypatch.setattr(enumeration, "_find_counterexample_unchecked", asking)
+    monkeypatch.setattr(_Session, "counterexample", looking_up)
+    counts = []
+    for model, v in runs:
+        answers.clear()
+        report = enumerate_explanations(model, v, mode=mode)
+        assert report.complete
+        counts.append(len(answers))
+        for c, free, last, x in answers:
+            assert x is not None and evaluate(model, x).class_id != c
+            moved = _mask(f for f, w in enumerate(v.values) if x.values[f] != w)
+            assert moved == free == last
+    assert counts == answered
+
+
 # --- minimal_hs ------------------------------------------------------------------
 
 
